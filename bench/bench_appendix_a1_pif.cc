@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.hh"
 #include "pif/encoder.hh"
 #include "pif/pif_item.hh"
 #include "support/table.hh"
@@ -24,8 +25,9 @@ using namespace clare;
 using namespace clare::pif;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Args(argc, argv).finish();
     Table scheme("Table A1: CLARE Data Type Scheme (as implemented)");
     scheme.header({"Item", "Type Tag", "Content", "Extension"});
     scheme.row({"Anonymous Var", "0010 0000 (0x20)", "-", "-"});

@@ -70,8 +70,9 @@ fs1Quality(term::SymbolTable &sym, const term::Program &program,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Args(argc, argv).finish();
     term::SymbolTable sym;
     term::TermReader reader(sym);
 

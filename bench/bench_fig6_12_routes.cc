@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.hh"
 #include "fs2/datapath.hh"
 #include "support/table.hh"
 #include "unify/tue_op.hh"
@@ -64,8 +65,9 @@ finalActionNs(fs2::FinalAction action)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Args(argc, argv).finish();
     const struct { TueOp op; std::uint64_t paper; } rows[] = {
         {TueOp::Match, 105},
         {TueOp::DbStore, 95},

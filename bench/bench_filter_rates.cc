@@ -32,7 +32,9 @@ using unify::TueOp;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = bench::jsonPathArg(argc, argv);
+    bench::Args args(argc, argv);
+    std::string json_path = bench::jsonPathArg(args);
+    args.finish();
     json::Value json_rows = json::Value::array();
 
     // --- the paper's per-op arithmetic -----------------------------

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.hh"
 #include "clare/board.hh"
 #include "storage/clause_file.hh"
 #include "support/table.hh"
@@ -20,8 +21,9 @@ using namespace clare;
 using namespace clare::engine;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Args(argc, argv).finish();
     Table modes("Operational modes (control register b0/b1)");
     modes.header({"Operational Mode", "b0", "b1", "register value"});
     for (OperationalMode mode : {OperationalMode::ReadResult,

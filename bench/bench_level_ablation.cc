@@ -28,8 +28,9 @@ using namespace clare;
 using unify::TueOp;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Args(argc, argv).finish();
     term::SymbolTable sym;
     workload::KbGenerator kbgen(sym);
     workload::KbSpec spec;

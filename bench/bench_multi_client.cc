@@ -66,8 +66,7 @@ namespace {
  * sequential path.
  */
 void
-batchedFrontDoorSweep(const bench::SlicedKnobs &knobs,
-                      json::Value &json_rows)
+batchedFrontDoorSweep(std::uint32_t batch_width, json::Value &json_rows)
 {
     using Request = crs::RetrievalRequest;
 
@@ -85,8 +84,6 @@ batchedFrontDoorSweep(const bench::SlicedKnobs &knobs,
     term::Program program = kbgen.generate(spec);
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
-    if (knobs.sliced)
-        store.buildSlicedIndexes();
     store.finalize();
 
     term::TermReader reader(sym);
@@ -120,7 +117,8 @@ batchedFrontDoorSweep(const bench::SlicedKnobs &knobs,
     for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
         crs::CrsConfig config;
         config.workers = workers;
-        knobs.apply(config);
+        if (batch_width > 0)
+            config.batchWidth = batch_width;
         crs::ClauseRetrievalServer server(sym, store, config);
         server.serveBatch(batch);    // warm-up
 
@@ -158,9 +156,8 @@ batchedFrontDoorSweep(const bench::SlicedKnobs &knobs,
         json::Value row = json::Value::object();
         row.set("sweep", "batched_front_door");
         row.set("workers", workers);
-        row.set("sliced", knobs.sliced);
-        if (knobs.batchWidth > 0)
-            row.set("batch_width", knobs.batchWidth);
+        if (batch_width > 0)
+            row.set("batch_width", batch_width);
         row.set("wall_seconds", seconds);
         row.set("identical", identical);
         row.set("total_queue_wait_ticks", queue_wait);
@@ -372,7 +369,6 @@ liveWriteMixSweep(double write_mix, json::Value &json_rows)
         term::Program program = kbgen.generate(spec);
         crs::PredicateStore store(sym, scw::CodewordGenerator{});
         store.addProgram(program);
-        store.buildSlicedIndexes();
         store.finalize();
 
         std::string wal_path =
@@ -513,13 +509,11 @@ struct LoadGenKnobs
 
 /** `--write-mix=P`: fraction of the op budget spent as live commits. */
 double
-writeMixArg(int argc, char **argv)
+writeMixArg(bench::Args &args)
 {
-    double mix = 0.1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--write-mix=", 12) == 0)
-            mix = std::strtod(argv[i] + 12, nullptr);
-    }
+    const char *v = args.value("--write-mix", "P",
+                               "fraction of live-write ops (0-0.9)");
+    double mix = v != nullptr ? std::strtod(v, nullptr) : 0.1;
     if (mix < 0.0)
         mix = 0.0;
     if (mix > 0.9)
@@ -528,21 +522,21 @@ writeMixArg(int argc, char **argv)
 }
 
 LoadGenKnobs
-loadGenConfigArg(int argc, char **argv)
+loadGenConfigArg(bench::Args &args)
 {
     LoadGenKnobs knobs;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--no-router") == 0)
-            knobs.enabled = false;
-        else if (std::strncmp(argv[i], "--lg-clients=", 13) == 0)
-            knobs.clients = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 13, nullptr, 10));
-        else if (std::strncmp(argv[i], "--lg-requests=", 14) == 0)
-            knobs.requests = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 14, nullptr, 10));
-        else if (std::strncmp(argv[i], "--lg-qps=", 9) == 0)
-            knobs.qps = std::strtod(argv[i] + 9, nullptr);
-    }
+    knobs.enabled = !args.flag("--no-router",
+                               "skip the router load sections");
+    if (const char *v = args.value("--lg-clients", "N", "wire clients"))
+        knobs.clients = static_cast<std::uint32_t>(
+            std::strtoul(v, nullptr, 10));
+    if (const char *v = args.value("--lg-requests", "N",
+                                   "requests per load sweep"))
+        knobs.requests = static_cast<std::uint32_t>(
+            std::strtoul(v, nullptr, 10));
+    if (const char *v = args.value("--lg-qps", "R",
+                                   "open-loop arrival rate"))
+        knobs.qps = std::strtod(v, nullptr);
     if (knobs.clients == 0)
         knobs.clients = 1;
     return knobs;
@@ -953,10 +947,13 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    std::string json_path = bench::jsonPathArg(argc, argv);
-    bench::CacheKnobs cache_knobs = bench::cacheConfigArg(argc, argv);
-    bench::SlicedKnobs sliced_knobs = bench::slicedConfigArg(argc, argv);
-    LoadGenKnobs lg_knobs = loadGenConfigArg(argc, argv);
+    bench::Args args(argc, argv);
+    std::string json_path = bench::jsonPathArg(args);
+    bench::CacheKnobs cache_knobs = bench::cacheConfigArg(args);
+    std::uint32_t batch_width = bench::batchWidthArg(args);
+    LoadGenKnobs lg_knobs = loadGenConfigArg(args);
+    double write_mix = writeMixArg(args);
+    args.finish();
     json::Value json_rows = json::Value::array();
 
     term::SymbolTable sym;
@@ -1021,9 +1018,9 @@ main(int argc, char **argv)
                 "spreading the\nsame update load over disjoint "
                 "predicates removes the contention.\n\n");
 
-    batchedFrontDoorSweep(sliced_knobs, json_rows);
+    batchedFrontDoorSweep(batch_width, json_rows);
     repeatedGoalCacheSweep(json_rows, cache_knobs);
-    liveWriteMixSweep(writeMixArg(argc, argv), json_rows);
+    liveWriteMixSweep(write_mix, json_rows);
     if (lg_knobs.enabled) {
         routerLoadSweep(lg_knobs, json_rows);
         shardedClusterSweep(json_rows);

@@ -23,6 +23,7 @@
 
 #include "bench_util.hh"
 #include "fs1/fs1_engine.hh"
+#include "oracle/row_major_scan.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
 #include "term/term_writer.hh"
@@ -35,7 +36,8 @@ namespace {
 
 /**
  * Experiment S4 — host scan rate of the bit-sliced FS1 kernel: the
- * row-major scan decodes every entry's signature per query, while the
+ * row-major reference scan (clare_oracle) decodes every entry's
+ * signature per query, while the
  * transposed plane evaluates 64 entries per word op and touches only
  * the planes whose query bits are set; batch widths > 1 then amortize
  * plane memory traffic across same-predicate queries.  Survivor sets
@@ -58,7 +60,6 @@ slicedScanSweep(json::Value &json_rows)
 
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
-    store.buildSlicedIndexes();
     store.finalize();
     const crs::StoredPredicate &stored = store.predicate(pred);
 
@@ -78,20 +79,21 @@ slicedScanSweep(json::Value &json_rows)
         static_cast<double>(queries.size());
     constexpr int kReps = 3;
 
-    fs1::Fs1Engine row_major(store.generator(), {});
-    fs1::Fs1Config sliced_config;
-    sliced_config.sliced = true;
-    fs1::Fs1Engine sliced(store.generator(), sliced_config);
+    fs1::Fs1Engine engine(store.generator());
 
-    // One timed pass: all queries, grouped `width` at a time (width 0
-    // = row-major per-query scans).
-    auto run = [&](const fs1::Fs1Engine &engine, std::size_t width) {
+    // One timed pass: all queries, grouped `width` at a time through
+    // the engine, or one at a time through the row-major reference
+    // scan.
+    auto run = [&](bool is_sliced, std::size_t width) {
         std::vector<fs1::Fs1Result> results;
-        for (std::size_t q0 = 0; q0 < queries.size();
-             q0 += std::max<std::size_t>(width, 1)) {
-            std::size_t count =
-                std::min(std::max<std::size_t>(width, 1),
-                         queries.size() - q0);
+        if (!is_sliced) {
+            for (const scw::Signature &q : queries)
+                results.push_back(fs1::rowMajorScan(store.generator(),
+                                                    stored.index, q));
+            return results;
+        }
+        for (std::size_t q0 = 0; q0 < queries.size(); q0 += width) {
+            std::size_t count = std::min(width, queries.size() - q0);
             std::vector<scw::Signature> group(
                 queries.begin() + static_cast<std::ptrdiff_t>(q0),
                 queries.begin() + static_cast<std::ptrdiff_t>(q0 +
@@ -118,12 +120,11 @@ slicedScanSweep(json::Value &json_rows)
                             Variant{"sliced", true, 4},
                             Variant{"sliced", true, 8},
                             Variant{"sliced", true, 16}}) {
-        const fs1::Fs1Engine &engine = v.is_sliced ? sliced : row_major;
-        run(engine, v.width);    // warm-up
+        run(v.is_sliced, v.width);    // warm-up
         auto start = std::chrono::steady_clock::now();
         std::vector<fs1::Fs1Result> results;
         for (int rep = 0; rep < kReps; ++rep)
-            results = run(engine, v.width);
+            results = run(v.is_sliced, v.width);
         auto stop = std::chrono::steady_clock::now();
         double seconds =
             std::chrono::duration<double>(stop - start).count() / kReps;
@@ -170,7 +171,7 @@ slicedScanSweep(json::Value &json_rows)
                 "decode); widths > 1 reuse each cache-resident plane "
                 "block across\nthe batch.  Survivors, scan statistics, "
                 "and modeled busy time are bit-identical\nto the "
-                "row-major kernel in every row.\n");
+                "row-major reference scan in every row.\n");
 }
 
 /**
@@ -183,8 +184,7 @@ slicedScanSweep(json::Value &json_rows)
  * actually runs retrievals.)
  */
 void
-workerScalingSweep(const bench::SlicedKnobs &knobs,
-                   json::Value &json_rows)
+workerScalingSweep(std::uint32_t batch_width, json::Value &json_rows)
 {
     using Request = crs::RetrievalRequest;
 
@@ -202,8 +202,6 @@ workerScalingSweep(const bench::SlicedKnobs &knobs,
 
     crs::PredicateStore store(sym, scw::CodewordGenerator{});
     store.addProgram(program);
-    if (knobs.sliced)
-        store.buildSlicedIndexes();
     store.finalize();
 
     workload::QuerySpec qspec;
@@ -230,7 +228,8 @@ workerScalingSweep(const bench::SlicedKnobs &knobs,
     for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
         crs::CrsConfig config;
         config.workers = workers;
-        knobs.apply(config);
+        if (batch_width > 0)
+            config.batchWidth = batch_width;
         crs::ClauseRetrievalServer server(sym, store, config);
         // Warm-up pass so allocator/page effects don't skew the 1-
         // worker baseline.
@@ -272,9 +271,8 @@ workerScalingSweep(const bench::SlicedKnobs &knobs,
         json::Value row = json::Value::object();
         row.set("sweep", "worker_scaling");
         row.set("workers", workers);
-        row.set("sliced", knobs.sliced);
-        if (knobs.batchWidth > 0)
-            row.set("batch_width", knobs.batchWidth);
+        if (batch_width > 0)
+            row.set("batch_width", batch_width);
         row.set("wall_seconds", seconds);
         row.set("identical", identical);
         row.set("total_queue_wait_ticks", queue_wait);
@@ -403,8 +401,10 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    std::string json_path = bench::jsonPathArg(argc, argv);
-    bench::SlicedKnobs sliced_knobs = bench::slicedConfigArg(argc, argv);
+    bench::Args args(argc, argv);
+    std::string json_path = bench::jsonPathArg(args);
+    std::uint32_t batch_width = bench::batchWidthArg(args);
+    args.finish();
     json::Value json_rows = json::Value::array();
 
     // A 4 MB Sun3/160-class memory budget, minus system overhead:
@@ -528,7 +528,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\n");
-    workerScalingSweep(sliced_knobs, json_rows);
+    workerScalingSweep(batch_width, json_rows);
     std::printf("\n");
     pacedDeviceSweep(json_rows);
     std::printf("\n");

@@ -46,19 +46,21 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    std::string json_path = bench::jsonPathArg(argc, argv);
+    bench::Args args(argc, argv);
+    std::string json_path = bench::jsonPathArg(args);
     // --fault-seed=N (+ --fault-flip/--fault-transient/--fault-delay
     // rates) runs the whole experiment against deterministically
     // faulty disks; absent, the run is bit-identical to a fault-free
     // build.
     std::optional<support::FaultConfig> fault_config =
-        bench::faultConfigArg(argc, argv);
+        bench::faultConfigArg(args);
     // --cache (+ --cache-l3/--cache-l2/--cache-l1-tracks sizes,
     // --cache-bypass) runs the experiment with the retrieval cache
     // hierarchy enabled; absent, the run is bit-identical to a
     // cache-free build.  Note the caches are disabled automatically
     // while fault injection is armed.
-    bench::CacheKnobs cache_knobs = bench::cacheConfigArg(argc, argv);
+    bench::CacheKnobs cache_knobs = bench::cacheConfigArg(args);
+    args.finish();
     std::unique_ptr<support::FaultInjector> injector;
     crs::CrsConfig crs_config;
     if (cache_knobs.enabled && !fault_config) {

@@ -7,13 +7,14 @@
  * propagation delays along the figure-6..12 datapath routes; this
  * harness prints the computed values side by side with the published
  * ones and additionally *measures* the per-operation times by driving
- * the full microcoded engine with item pairs that exercise exactly one
+ * the full FS2 engine with item pairs that exercise exactly one
  * operation class, confirming the engine charges the same times.
  *
- * It also sweeps the FS2 dispatch pair — the WCS interpreter against
- * the AOT-compiled microroutines — over a synthetic clause file,
- * checking the two produce bit-identical verdicts and tick streams
- * while reporting the host wall-clock speedup of the compiled path.
+ * It also sweeps the FS2 dispatch pair — the reference WCS interpreter
+ * (clare_oracle) against the compiled match routines the engine runs
+ * — clause by clause over a synthetic clause file, checking the two
+ * produce bit-identical verdicts and tick streams while reporting the
+ * host wall-clock speedup of the compiled routines.
  *
  * `--json <path>` exports the table rows and the sweep record.
  */
@@ -27,7 +28,10 @@
 
 #include "bench_util.hh"
 #include "fs2/datapath.hh"
+#include "fs2/compiled_routines.hh"
 #include "fs2/fs2_engine.hh"
+#include "oracle/wcs.hh"
+#include "pif/encoder.hh"
 #include "storage/clause_file.hh"
 #include "support/table.hh"
 #include "term/term_reader.hh"
@@ -82,8 +86,8 @@ measureOp(const OpScenario &scenario)
 
 /**
  * The interpreter-vs-compiled sweep record: wall-clock times for the
- * same searches through both dispatch targets, plus the identity
- * check over everything the engine reports.
+ * same clause streams through both dispatch targets, plus the identity
+ * check over everything the engine's accounting reads.
  */
 struct SweepResult
 {
@@ -135,41 +139,50 @@ sweepFile(term::TermReader &reader, term::TermWriter &writer,
     return builder.finish();
 }
 
-/** One full pass: every query searched once; returns the result set. */
-std::vector<fs2::Fs2SearchResult>
-sweepPass(const fs2::Fs2Config &config, const storage::ClauseFile &file,
-          const std::vector<const char *> &queries,
-          term::SymbolTable &sym)
+/** What one query's pass over the file accumulates. */
+struct PassResult
 {
-    std::vector<fs2::Fs2SearchResult> out;
-    term::TermReader reader(sym);
-    for (const char *text : queries) {
-        term::ParsedQuery q = reader.parseQuery(text);
-        fs2::Fs2Engine engine(config);
-        engine.setQuery(q.arena, q.goals[0]);
-        out.push_back(engine.search(file));
+    std::vector<std::uint32_t> accepted;
+    unify::TueOpCounts ops{};
+    std::uint64_t microInstructions = 0;
+    Tick tueBusyTime = 0;
+    Tick sequencerTime = 0;
+
+    bool operator==(const PassResult &) const = default;
+};
+
+constexpr int kSweepLevel = 3;
+constexpr Tick kSweepOverhead = 125 * kNanosecond;
+
+/**
+ * One full pass: every query run clause by clause through a fresh
+ * matcher from @p make (the WCS or the compiled routines), on a TUE
+ * reset per clause exactly as the FS2 engine resets it.
+ */
+template <typename MakeMatcher>
+std::vector<PassResult>
+sweepPass(MakeMatcher make, const storage::ClauseFile &file,
+          const std::vector<pif::EncodedArgs> &queries)
+{
+    std::vector<PassResult> out;
+    for (const pif::EncodedArgs &query : queries) {
+        auto matcher = make();
+        fs2::TestUnificationEngine tue(kSweepLevel, true);
+        PassResult r;
+        for (std::size_t c = 0; c < file.clauseCount(); ++c) {
+            pif::EncodedArgs db = file.decodeArgs(c);
+            tue.resetForClause(db.varSlots, query.varSlots);
+            if (matcher.runClause(tue, db.items, file.record(c).arity,
+                                  query) == fs2::ClauseVerdict::Accepted)
+                r.accepted.push_back(static_cast<std::uint32_t>(c));
+        }
+        r.ops = tue.opCounts();
+        r.tueBusyTime = tue.busyTime();
+        r.microInstructions = matcher.instructionsExecuted();
+        r.sequencerTime = matcher.sequencerTime();
+        out.push_back(std::move(r));
     }
     return out;
-}
-
-bool
-sameResults(const std::vector<fs2::Fs2SearchResult> &a,
-            const std::vector<fs2::Fs2SearchResult> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].acceptedOrdinals != b[i].acceptedOrdinals ||
-            a[i].ops != b[i].ops ||
-            a[i].microInstructions != b[i].microInstructions ||
-            a[i].tueBusyTime != b[i].tueBusyTime ||
-            a[i].sequencerTime != b[i].sequencerTime ||
-            a[i].elapsed != b[i].elapsed ||
-            a[i].clausesExamined != b[i].clausesExamined ||
-            a[i].bytesStreamed != b[i].bytesStreamed)
-            return false;
-    }
-    return true;
 }
 
 SweepResult
@@ -180,43 +193,44 @@ runSweep(std::size_t clause_count, std::size_t iterations)
     term::TermWriter writer(sym);
     storage::ClauseFile file = sweepFile(reader, writer, clause_count);
 
-    const std::vector<const char *> queries = {
-        "p(c3, V, [a, b])",
-        "p(f(c7, Q), Q, R)",
-        "p(A, g(A, c11), 42)",
-        "p(c19, 55, h(U, U))",
-        "p([c23, M | N], M, N)",
-        "p(X, Y, Z)",
+    pif::Encoder encoder;
+    std::vector<pif::EncodedArgs> queries;
+    for (const char *text : {"p(c3, V, [a, b])", "p(f(c7, Q), Q, R)",
+                             "p(A, g(A, c11), 42)", "p(c19, 55, h(U, U))",
+                             "p([c23, M | N], M, N)", "p(X, Y, Z)"}) {
+        term::ParsedQuery q = reader.parseQuery(text);
+        queries.push_back(encoder.encodeArgs(q.arena, q.goals[0],
+                                             pif::Side::Query));
+    }
+
+    const fs2::WcsConfig wcs_config{kSweepOverhead, 1u << 20};
+    auto interp = [&] {
+        return fs2::Wcs::programmed(kSweepLevel, true, wcs_config);
+    };
+    auto compiled = [&] {
+        return fs2::CompiledMatcher(kSweepLevel, true, wcs_config);
     };
 
-    fs2::Fs2Config interp;
-    interp.level = 3;
-    interp.sequencerOverhead = 125 * kNanosecond;
-    fs2::Fs2Config compiled = interp;
-    compiled.compiled = true;
-
-    // Identity first (one pass is enough: searches are deterministic).
-    std::vector<fs2::Fs2SearchResult> ri =
-        sweepPass(interp, file, queries, sym);
-    std::vector<fs2::Fs2SearchResult> rc =
-        sweepPass(compiled, file, queries, sym);
+    // Identity first (one pass is enough: matching is deterministic).
+    std::vector<PassResult> ri = sweepPass(interp, file, queries);
+    std::vector<PassResult> rc = sweepPass(compiled, file, queries);
 
     SweepResult sweep;
     sweep.clauses = file.clauseCount();
     sweep.queries = queries.size();
     sweep.iterations = iterations;
-    sweep.identical = sameResults(ri, rc);
-    for (const fs2::Fs2SearchResult &r : ri)
+    sweep.identical = ri == rc;
+    for (const PassResult &r : ri)
         sweep.microInstructions += r.microInstructions;
 
-    // Then timing: the same searches, iterated, for each target.
+    // Then timing: the same passes, iterated, for each target.
     using clock = std::chrono::steady_clock;
     auto t0 = clock::now();
     for (std::size_t i = 0; i < iterations; ++i)
-        sweepPass(interp, file, queries, sym);
+        sweepPass(interp, file, queries);
     auto t1 = clock::now();
     for (std::size_t i = 0; i < iterations; ++i)
-        sweepPass(compiled, file, queries, sym);
+        sweepPass(compiled, file, queries);
     auto t2 = clock::now();
 
     auto us = [](auto d) {
@@ -232,6 +246,10 @@ runSweep(std::size_t clause_count, std::size_t iterations)
 int
 main(int argc, char **argv)
 {
+    bench::Args args(argc, argv);
+    const std::string json_path = bench::jsonPathArg(args);
+    args.finish();
+
     const OpScenario scenarios[] = {
         {TueOp::Match, 105, "p(a)", "p(a)", ""},
         {TueOp::DbStore, 95, "p(a)", "p(X)", ""},
@@ -302,8 +320,8 @@ main(int argc, char **argv)
     sj.set("speedup", sweep.speedup());
     sj.set("identical", sweep.identical);
     rows.push(std::move(sj));
-    if (!bench::writeBenchJson(bench::jsonPathArg(argc, argv),
-                               "table1_fs2_ops", std::move(rows))) {
+    if (!bench::writeBenchJson(json_path, "table1_fs2_ops",
+                               std::move(rows))) {
         std::fprintf(stderr, "failed to write --json output\n");
         return 1;
     }

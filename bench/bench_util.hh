@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the benchmark harnesses: program-to-store
- * compilation, formatting, and machine-readable JSON export
- * (`--json <path>` on every harness).
+ * compilation, formatting, strict command-line parsing, and
+ * machine-readable JSON export (`--json <path>`).
  */
 
 #ifndef CLARE_BENCH_BENCH_UTIL_HH
@@ -10,14 +10,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "crs/server.hh"
 #include "crs/store.hh"
-#include "fs1/kernels.hh"
 #include "support/fault_injector.hh"
 #include "support/json.hh"
 #include "support/obs.hh"
@@ -43,8 +42,6 @@ compileStore(term::SymbolTable &symbols, const term::Program &program,
     out.store = std::make_unique<crs::PredicateStore>(
         symbols, scw::CodewordGenerator(scw_config));
     out.store->addProgram(program);
-    if (crs_config.fs1.sliced)
-        out.store->buildSlicedIndexes();
     out.store->finalize();
     out.server = std::make_unique<crs::ClauseRetrievalServer>(
         symbols, *out.store, crs_config);
@@ -90,20 +87,91 @@ formatRate(double bytes_per_second)
 }
 
 /**
- * Parse `--json <path>` / `--json=<path>` from the harness command
- * line; empty string when absent.  Unknown arguments are ignored so
- * harness-specific flags can coexist.
+ * One harness's command line.  Each *Arg() parser below consumes the
+ * arguments it recognizes; finish() exits 2 with the usage text when
+ * any argument is left over, so a typo or a flag the harness does not
+ * take fails loudly instead of running the default configuration.
  */
-inline std::string
-jsonPathArg(int argc, char **argv)
+class Args
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            return argv[i + 1];
-        if (std::strncmp(argv[i], "--json=", 7) == 0)
-            return argv[i] + 7;
+  public:
+    Args(int argc, char **argv)
+        : program_(argc > 0 ? argv[0] : "bench"),
+          args_(argv + (argc > 0 ? 1 : 0), argv + argc),
+          used_(args_.size(), false)
+    {
     }
-    return "";
+
+    /** Consume every `name`; true when at least one was present. */
+    bool
+    flag(const char *name, const char *help)
+    {
+        usage_.push_back(std::string(name) + "  " + help);
+        bool seen = false;
+        for (std::size_t i = 0; i < args_.size(); ++i) {
+            if (!used_[i] && args_[i] == name) {
+                used_[i] = true;
+                seen = true;
+            }
+        }
+        return seen;
+    }
+
+    /**
+     * Consume every `name=V` (and `name V`); the last V, or null when
+     * absent.  @p meta names the value in the usage text.
+     */
+    const char *
+    value(const char *name, const char *meta, const char *help)
+    {
+        usage_.push_back(std::string(name) + "=" + meta + "  " + help);
+        const std::string eq = std::string(name) + "=";
+        const char *last = nullptr;
+        for (std::size_t i = 0; i < args_.size(); ++i) {
+            if (used_[i])
+                continue;
+            if (args_[i].compare(0, eq.size(), eq) == 0) {
+                used_[i] = true;
+                last = args_[i].c_str() + eq.size();
+            } else if (args_[i] == name && i + 1 < args_.size()) {
+                used_[i] = used_[i + 1] = true;
+                last = args_[++i].c_str();
+            }
+        }
+        return last;
+    }
+
+    /** Exit 2 with the usage text if any argument went unconsumed. */
+    void
+    finish() const
+    {
+        for (std::size_t i = 0; i < args_.size(); ++i) {
+            if (!used_[i]) {
+                std::fprintf(stderr, "%s: unknown argument '%s'\n",
+                             program_.c_str(), args_[i].c_str());
+                std::fprintf(stderr, "usage: %s%s\n", program_.c_str(),
+                             usage_.empty() ? "" : " [options]");
+                for (const std::string &line : usage_)
+                    std::fprintf(stderr, "  %s\n", line.c_str());
+                std::exit(2);
+            }
+        }
+    }
+
+  private:
+    std::string program_;
+    std::vector<std::string> args_;
+    std::vector<bool> used_;
+    std::vector<std::string> usage_;
+};
+
+/** `--json <path>` / `--json=<path>`; empty string when absent. */
+inline std::string
+jsonPathArg(Args &args)
+{
+    const char *path = args.value("--json", "PATH",
+                                  "write machine-readable results");
+    return path != nullptr ? path : "";
 }
 
 /**
@@ -114,34 +182,27 @@ jsonPathArg(int argc, char **argv)
  * bit-identical to a fault-free build.
  */
 inline std::optional<support::FaultConfig>
-faultConfigArg(int argc, char **argv)
+faultConfigArg(Args &args)
 {
+    const char *seed = args.value("--fault-seed", "N",
+                                  "arm the deterministic fault injector");
+    const char *flip = args.value("--fault-flip", "R",
+                                  "bit-flip rate per chunk");
+    const char *transient = args.value("--fault-transient", "R",
+                                       "transient read-error rate");
+    const char *delay = args.value("--fault-delay", "R",
+                                   "delayed-read rate");
     std::optional<support::FaultConfig> config;
-    auto value = [](const char *arg, const char *name) -> const char * {
-        std::size_t n = std::strlen(name);
-        if (std::strncmp(arg, name, n) == 0 && arg[n] == '=')
-            return arg + n + 1;
-        return nullptr;
+    if (seed == nullptr)
+        return config;
+    config.emplace();
+    config->seed = std::strtoull(seed, nullptr, 10);
+    auto rate = [](const char *v) {
+        return v != nullptr ? std::strtod(v, nullptr) : 0.0;
     };
-    double flip = 0, transient = 0, delay = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = value(argv[i], "--fault-seed")) {
-            if (!config)
-                config.emplace();
-            config->seed = std::strtoull(v, nullptr, 10);
-        } else if (const char *v = value(argv[i], "--fault-flip")) {
-            flip = std::strtod(v, nullptr);
-        } else if (const char *v = value(argv[i], "--fault-transient")) {
-            transient = std::strtod(v, nullptr);
-        } else if (const char *v = value(argv[i], "--fault-delay")) {
-            delay = std::strtod(v, nullptr);
-        }
-    }
-    if (config) {
-        config->bitFlipRate = flip;
-        config->transientReadRate = transient;
-        config->delayRate = delay;
-    }
+    config->bitFlipRate = rate(flip);
+    config->transientReadRate = rate(transient);
+    config->delayRate = rate(delay);
     return config;
 }
 
@@ -193,114 +254,42 @@ struct CacheKnobs
  * and `--cache-bypass` serves every request with bypassCache set.
  */
 inline CacheKnobs
-cacheConfigArg(int argc, char **argv)
+cacheConfigArg(Args &args)
 {
-    CacheKnobs knobs;
-    auto value = [](const char *arg, const char *name) -> const char * {
-        std::size_t n = std::strlen(name);
-        if (std::strncmp(arg, name, n) == 0 && arg[n] == '=')
-            return arg + n + 1;
-        return nullptr;
+    auto count = [](const char *v) {
+        return v != nullptr
+            ? static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10))
+            : 0u;
     };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--cache") == 0) {
-            knobs.enabled = true;
-        } else if (const char *v = value(argv[i], "--cache-l3")) {
-            knobs.l3Capacity = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
-            knobs.enabled = true;
-        } else if (const char *v = value(argv[i], "--cache-l2")) {
-            knobs.l2Capacity = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
-            knobs.enabled = true;
-        } else if (const char *v = value(argv[i], "--cache-l1-tracks")) {
-            knobs.l1Tracks = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--cache-bypass") == 0) {
-            knobs.bypass = true;
-        }
-    }
+    CacheKnobs knobs;
+    knobs.enabled = args.flag("--cache", "enable the L2/L3 caches");
+    const char *l3 = args.value("--cache-l3", "N",
+                                "L3 goal-cache entries");
+    const char *l2 = args.value("--cache-l2", "N",
+                                "L2 signature/survivor entries");
+    knobs.l3Capacity = count(l3);
+    knobs.l2Capacity = count(l2);
+    knobs.l1Tracks = count(args.value("--cache-l1-tracks", "N",
+                                      "L1 track-cache tracks per disk"));
+    knobs.bypass = args.flag("--cache-bypass",
+                             "serve every request with bypassCache");
+    knobs.enabled = knobs.enabled || l3 != nullptr || l2 != nullptr;
     return knobs;
 }
 
 /**
- * Parsed `--sliced` / `--batch-width=K` knobs shared by the bench
- * harnesses.  Absent flags leave both off, so a default run is
- * bit-identical to the row-major scan path.
+ * `--batch-width=K`: group up to K same-predicate FS1 goals into one
+ * pass over the bit-sliced plane (CrsConfig::batchWidth); 0 when
+ * absent.
  */
-struct SlicedKnobs
+inline std::uint32_t
+batchWidthArg(Args &args)
 {
-    /** `--sliced`: scan through the bit-sliced plane. */
-    bool sliced = false;
-    /** `--batch-width=K`: group up to K FS1 goals per plane pass
-     *  (implies `--sliced`; 0 means "not given"). */
-    std::uint32_t batchWidth = 0;
-    /** `--kernel=NAME`: force an FS1 block kernel (implies
-     *  `--sliced`; Auto means "not given"). */
-    fs1::Fs1Kernel kernel = fs1::Fs1Kernel::Auto;
-    /** `--fs2-compiled`: dispatch FS2 through the AOT-compiled
-     *  microroutines instead of the WCS interpreter. */
-    bool fs2Compiled = false;
-
-    /** Fold the knobs into a server config. */
-    void
-    apply(crs::CrsConfig &config) const
-    {
-        if (sliced)
-            config.fs1.sliced = true;
-        if (batchWidth > 0)
-            config.batchWidth = batchWidth;
-        config.fs1.kernel = kernel;
-        config.fs2.compiled = fs2Compiled;
-    }
-};
-
-/**
- * Parse the bit-sliced scan knobs: `--sliced` turns the word-parallel
- * FS1 kernel on, `--batch-width=K` groups up to K same-predicate FS1
- * goals into one plane pass (and implies `--sliced`),
- * `--kernel=NAME` forces a specific block kernel from the registry
- * (scalar64 / avx2 / avx512 / auto; implies `--sliced`), and
- * `--fs2-compiled` routes FS2 matching through the AOT-compiled
- * microroutines (bit-identical to the interpreter, just faster on the
- * host).  An unknown kernel name exits with the supported list rather
- * than silently falling back.
- */
-inline SlicedKnobs
-slicedConfigArg(int argc, char **argv)
-{
-    SlicedKnobs knobs;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sliced") == 0) {
-            knobs.sliced = true;
-        } else if (std::strncmp(argv[i], "--batch-width=", 14) == 0) {
-            knobs.batchWidth = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 14, nullptr, 10));
-            knobs.sliced = true;
-        } else if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
-            const char *name = argv[i] + 9;
-            fs1::Fs1Kernel parsed = fs1::Fs1Kernel::Auto;
-            if (!fs1::parseKernelName(name, parsed)) {
-                std::fprintf(stderr,
-                             "unknown --kernel '%s' (expected auto, "
-                             "scalar64, avx2, or avx512)\n",
-                             name);
-                std::exit(2);
-            }
-            if (!fs1::kernelSupported(parsed)) {
-                std::fprintf(stderr,
-                             "--kernel '%s' is not supported on this "
-                             "host (use auto)\n",
-                             name);
-                std::exit(2);
-            }
-            knobs.kernel = parsed;
-            knobs.sliced = true;
-        } else if (std::strcmp(argv[i], "--fs2-compiled") == 0) {
-            knobs.fs2Compiled = true;
-        }
-    }
-    return knobs;
+    const char *v = args.value("--batch-width", "K",
+                               "FS1 goals per plane pass");
+    return v != nullptr
+        ? static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10))
+        : 0u;
 }
 
 /** One retrieval as a JSON row (shared shape across harnesses). */

@@ -1,7 +1,8 @@
 /**
  * @file
- * A look inside the FS2: disassembles the matching microprogram the
- * query is translated into, dumps the compiled PIF streams for a
+ * A look inside the FS2: disassembles the paper's matching
+ * microprogram (the reference WCS microcode the engine's compiled
+ * match routines reproduce), dumps the compiled PIF streams for a
  * clause/query pair, and traces every TUE datapath operation — which
  * selectors route what, how long each figure-6..12 route takes — while
  * the engine filters a handful of clauses, including the paper's
@@ -11,6 +12,7 @@
 #include <cstdio>
 
 #include "fs2/fs2_engine.hh"
+#include "oracle/microcode.hh"
 #include "pif/encoder.hh"
 #include "storage/clause_file.hh"
 #include "term/term_reader.hh"
@@ -39,21 +41,23 @@ main()
     term::ParsedQuery query = reader.parseQuery("f(X, a, b)");
 
     // --- the microprogram the query is translated into --------------
-    fs2::Fs2Engine engine;
-    engine.setQuery(query.arena, query.goals[0]);
-
+    // The engine runs the compiled form of this program; the WCS
+    // microcode itself is the reference model's, assembled here.
+    fs2::RoutineAddresses routines;
+    fs2::Microprogram program = fs2::assembleMatchProgram(3, routines);
     std::printf("microprogram (%zu words of the %zu-word WCS, entry "
-                "@%03x):\n\n", engine.microprogram().size(),
-                fs2::kControlStoreWords, engine.microprogram().entry);
-    for (std::size_t addr = 0; addr < engine.microprogram().size();
-         ++addr) {
-        fs2::MicroInstruction insn = fs2::MicroInstruction::decode(
-            engine.microprogram().words[addr]);
+                "@%03x):\n\n", program.size(), fs2::kControlStoreWords,
+                program.entry);
+    for (std::size_t addr = 0; addr < program.size(); ++addr) {
+        fs2::MicroInstruction insn =
+            fs2::MicroInstruction::decode(program.words[addr]);
         std::printf("  %03zx: %016llx  %s\n", addr,
-                    static_cast<unsigned long long>(
-                        engine.microprogram().words[addr]),
+                    static_cast<unsigned long long>(program.words[addr]),
                     insn.disassemble().c_str());
     }
+
+    fs2::Fs2Engine engine;
+    engine.setQuery(query.arena, query.goals[0]);
 
     // --- the compiled PIF streams ------------------------------------
     pif::Encoder encoder;

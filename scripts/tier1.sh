@@ -6,10 +6,11 @@
 # shared L1/L2/L3 caches are proven free of data races, and the
 # bit-sliced equivalence suite again under ASan so the word-indexed
 # plane arithmetic (edge-masked partial ranges in particular) is
-# proven in-bounds, and finally the kernel-dispatch suites under ASan
-# so every FS1 kernel the host supports (scalar64/avx2/avx512) and
-# both FS2 dispatch targets (interpreter and compiled routines) run
-# sanitized.
+# proven in-bounds, and finally the oracle-equivalence suites under
+# ASan so every FS1 kernel the host supports (scalar64/avx2/avx512)
+# and the compiled FS2 routines run sanitized against the reference
+# implementations in clare_oracle.  A symbol check keeps those
+# reference implementations out of the deployed tools.
 #
 # Usage: scripts/tier1.sh [build-dir] [asan-build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -26,6 +27,19 @@ echo "== tier-1: default build + full ctest =="
 cmake -B "$BUILD" -S . -DCLARE_COUNT_ALLOCS=ON
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j
+
+echo "== tier-1: no oracle code in the production binaries =="
+# The reference paths (PLA plane, row-major scan, selector-level TUE,
+# microcoded WCS and its assembler) live in clare_oracle, which only
+# tests, benches and the microcode_trace example link.  A tool that
+# pulled one in would be running, or carrying, a second path.
+ORACLE_SYMBOLS='PlaMatcher|TueDatapath|Wcs::runClause|rowMajorScan|assembleMatchProgram'
+for tool in clare_server clare_router clare_client clare_mkstore; do
+    if nm -C "$BUILD/tools/$tool" | grep -E "$ORACLE_SYMBOLS"; then
+        echo "oracle symbols linked into $tool" >&2
+        exit 1
+    fi
+done
 
 echo "== tier-1: ASan+UBSan build + faults-labeled tests =="
 cmake -B "$ASAN_BUILD" -S . -DCLARE_SANITIZE=address
@@ -49,10 +63,11 @@ echo "== tier-1: ASan+UBSan build + shard-labeled tests =="
 # slice load/save walks are in-bounds, not just bit-identical.
 ctest --test-dir "$ASAN_BUILD" -L shard --output-on-failure -j
 
-echo "== tier-1: ASan+UBSan build + kernel-dispatch tests =="
-# The kernels-labeled suites internally sweep every FS1 kernel the
-# host supports (skipping the rest) and both FS2 dispatch targets, so
-# one labeled run covers the whole registry.
+echo "== tier-1: ASan+UBSan build + oracle-equivalence tests =="
+# The kernels-labeled suites sweep every FS1 kernel the host supports
+# (skipping the rest) against the PLA plane and the row-major scan, and
+# run the compiled FS2 routines against the WCS interpreter clause by
+# clause, so one labeled run covers the whole registry.
 ctest --test-dir "$ASAN_BUILD" -L kernels --output-on-failure -j
 
 echo "== tier-1: ASan+UBSan build + arena-labeled tests =="

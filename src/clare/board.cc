@@ -98,8 +98,9 @@ ClareDriver::fs2Search(const term::TermArena &q_arena,
 {
     sequence_.clear();
 
-    // 1. Load the query's microprogram (assembled at construction in
-    //    this model; the mode transition is still performed).
+    // 1. Load the matching algorithm (compiled into the FS2 engine's
+    //    match routines at construction in this model; the mode
+    //    transition is still performed).
     setMode(OperationalMode::Microprogramming, FilterSelect::Fs2);
 
     // 2. Write the query arguments into the Query Memory.
@@ -123,7 +124,12 @@ ClareDriver::fs1Search(const scw::Signature &query,
     sequence_.clear();
     setMode(OperationalMode::SetQuery, FilterSelect::Fs1);
     setMode(OperationalMode::Search, FilterSelect::Fs1);
-    fs1::Fs1Result result = board_.fs1().search(index, query);
+    // The board holds no stored predicate, so the plane the engine
+    // scans is transposed here from the secondary file.
+    scw::BitSlicedIndex plane =
+        scw::BitSlicedIndex::build(board_.fs1().generator(), index);
+    fs1::Fs1Result result =
+        board_.fs1().search(index, &plane, query, nullptr, 1);
     board_.noteSearchOutcome(!result.ordinals.empty());
     setMode(OperationalMode::ReadResult, FilterSelect::Fs1);
     return result;

@@ -54,10 +54,6 @@ CrsConfig::validate() const
             "fs1.scanRate", "scan rate must be a positive byte rate");
     require(std::isfinite(fs1.paceScale) && fs1.paceScale >= 0,
             "fs1.paceScale", "pace scale must be >= 0 (0 disables)");
-    require(fs1::kernelSupported(fs1.kernel), "fs1.kernel",
-            std::string("kernel '") + fs1::kernelName(fs1.kernel) +
-                "' is not supported on this host (use 'auto' to pick "
-                "the widest supported one)");
 
     // FS2: the microprogram is assembled for levels 1-3; the stream
     // needs a non-empty double buffer bank and result slots that fit
@@ -104,15 +100,12 @@ CrsConfig::validate() const
             "more than 1024 workers is a configuration error");
 
     // Batch scanning groups FS1 goals into one pass over the sliced
-    // plane; without the sliced kernel the grouping would only
-    // serialize otherwise-pipelined scans.
+    // plane.
     require(batchWidth >= 1, "batchWidth",
             "batch width 0 would mean no query is ever scanned");
     require(batchWidth <= 256, "batchWidth",
             "more than 256 queries per plane pass is a configuration "
             "error");
-    require(batchWidth == 1 || fs1.sliced, "batchWidth",
-            "multi-query batch scanning requires fs1.sliced");
 
     // Fault handling: zero attempts would mean "never read anything";
     // an unbounded retry count turns a permanently bad sector into a

@@ -109,14 +109,6 @@ LiveStore::LiveStore(PredicateStore &store, term::SymbolTable &symbols,
       wal_(std::make_unique<storage::Wal>(wal_path, faults)),
       appliedLsn_(applied_lsn)
 {
-    for (const term::PredicateId &pred : store_.predicates()) {
-        auto v = store_.predicateVersion(pred);
-        if (v != nullptr && v->sliced != nullptr) {
-            storeSliced_ = true;
-            break;
-        }
-    }
-
     // A crash during checkpoint's reset() can leave a partial WAL
     // header, which recovery rewrites with baseLsn = 0 while the
     // manifest watermark already sits at appliedLsn.  Left alone, the
@@ -316,28 +308,24 @@ LiveStore::buildComposite(const StoredPredicate &prev,
     out->index = scw::SecondaryFile::fromImage(std::move(image), total,
                                                entry_bytes);
 
-    if (prev.sliced != nullptr) {
-        // LSM-flavored maintenance: share the base plane untouched and
-        // transpose only [baseEntries, total) into a delta mini-plane.
-        // FS1 scans both parts and sums the bytes before the one
-        // tick conversion, so the split is tick-identical to scanning
-        // one full plane.
-        out->sliced = prev.sliced;
-        const std::size_t base_entries = prev.baseEntries == 0
-            ? prev.index.entryCount()
-            : prev.baseEntries;
-        out->baseEntries = base_entries;
-        std::vector<std::uint8_t> delta_image(
-            out->index.image().begin() +
-                static_cast<std::ptrdiff_t>(base_entries * entry_bytes),
-            out->index.image().end());
-        scw::SecondaryFile delta = scw::SecondaryFile::fromImage(
-            std::move(delta_image), total - base_entries, entry_bytes);
-        out->deltaSliced = std::make_shared<const scw::BitSlicedIndex>(
-            scw::BitSlicedIndex::build(gen, delta));
-    }
-    // A row-major predicate (no base plane) stays row-major: scans of
-    // the composite entry image are already identical to a rebuild.
+    // LSM-flavored maintenance: share the base plane untouched and
+    // transpose only [baseEntries, total) into a delta mini-plane.  FS1
+    // scans both parts and sums the bytes before the one tick
+    // conversion, so the split is tick-identical to scanning one full
+    // plane.
+    out->sliced = prev.sliced;
+    const std::size_t base_entries = prev.deltaSliced == nullptr
+        ? prev.index.entryCount()
+        : prev.baseEntries;
+    out->baseEntries = base_entries;
+    std::vector<std::uint8_t> delta_image(
+        out->index.image().begin() +
+            static_cast<std::ptrdiff_t>(base_entries * entry_bytes),
+        out->index.image().end());
+    scw::SecondaryFile delta = scw::SecondaryFile::fromImage(
+        std::move(delta_image), total - base_entries, entry_bytes);
+    out->deltaSliced = std::make_shared<const scw::BitSlicedIndex>(
+        scw::BitSlicedIndex::build(gen, delta));
 
     finishVersion(*out, &prev);
     return out;
@@ -384,11 +372,8 @@ LiveStore::buildCompacted(const StoredPredicate *prev,
     out->clauses = builder.finish();
     out->index = scw::SecondaryFile::build(gen, sigs, out->clauses);
     // Full rebuild, full plane — no delta, base coverage resets.
-    const bool want_plane =
-        prev != nullptr ? prev->sliced != nullptr : storeSliced_;
-    if (want_plane)
-        out->sliced = std::make_shared<const scw::BitSlicedIndex>(
-            scw::BitSlicedIndex::build(gen, out->index));
+    out->sliced = std::make_shared<const scw::BitSlicedIndex>(
+        scw::BitSlicedIndex::build(gen, out->index));
     finishVersion(*out, prev);
     return out;
 }

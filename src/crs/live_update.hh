@@ -217,12 +217,6 @@ class LiveStore
     CacheInvalidationSink *sink_ = nullptr;
 
     std::mutex writerMutex_;
-    /**
-     * Whether the attached store carries bit-sliced planes (decides
-     * the indexing of brand-new live predicates: a v2/row-major store
-     * stays row-major everywhere so scans remain tick-identical).
-     */
-    bool storeSliced_ = false;
     std::uint64_t appliedLsn_ = 0;
     std::size_t recoveredCommits_ = 0;
     std::uint64_t commits_ = 0;

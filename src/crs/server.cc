@@ -678,9 +678,7 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
                 continue;
             // A live (base + delta) version routes through the split
             // scan, not the batch plane pass: the base plane alone
-            // does not cover the composite file.  (Grouping it would
-            // still be bit-identical — searchBatch falls back — but
-            // would silently lose the sliced path.)
+            // does not cover the composite file.
             if (stored[i]->deltaSliced != nullptr)
                 continue;
             auto it = open.find(stored[i]);

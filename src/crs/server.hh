@@ -134,10 +134,9 @@ struct CrsConfig
      * serveBatch() multi-query batch scanning: up to this many
      * FS1-mode goals of one predicate are answered by a single pass
      * over the predicate's bit-sliced plane.  1 (default) scans per
-     * query.  Widths > 1 require fs1.sliced (grouping without the
-     * sliced kernel would just serialize the scans) and compose with
-     * workers and the caches; results stay bit-identical because each
-     * grouped query is accounted exactly like its own full-file scan.
+     * query.  Widths > 1 compose with workers and the caches; results
+     * stay bit-identical because each grouped query is accounted
+     * exactly like its own full-file scan.
      */
     std::uint32_t batchWidth = 1;
 

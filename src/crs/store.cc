@@ -40,6 +40,8 @@ PredicateStore::addProgram(const term::Program &program)
         stored.clauses = builder.finish();
         stored.index = scw::SecondaryFile::build(generator_, signatures,
                                                  stored.clauses);
+        stored.sliced = std::make_shared<scw::BitSlicedIndex>(
+            scw::BitSlicedIndex::build(generator_, stored.index));
         stored.ruleFraction = ordinals.empty()
             ? 0.0
             : static_cast<double>(rules) /
@@ -70,21 +72,12 @@ PredicateStore::addStored(const term::PredicateId &pred,
           static_cast<double>(clauses.clauseCount());
     stored.clauses = std::move(clauses);
     stored.index = std::move(index);
-    stored.sliced = std::move(sliced);
+    stored.sliced = sliced != nullptr
+        ? std::move(sliced)
+        : std::make_shared<scw::BitSlicedIndex>(
+              scw::BitSlicedIndex::build(generator_, stored.index));
     preds_.emplace(pred, std::move(stored));
     order_.push_back(pred);
-}
-
-void
-PredicateStore::buildSlicedIndexes()
-{
-    for (auto &kv : preds_) {
-        StoredPredicate &stored = kv.second;
-        if (stored.sliced != nullptr)
-            continue;
-        stored.sliced = std::make_shared<scw::BitSlicedIndex>(
-            scw::BitSlicedIndex::build(generator_, stored.index));
-    }
 }
 
 void

@@ -47,11 +47,11 @@ struct StoredPredicate
     std::vector<std::uint32_t> indexPageCrcs;
 
     /**
-     * Transposed (bit-sliced) plane of the secondary file, for the
-     * word-parallel FS1 host kernel.  Null when planes were neither
-     * loaded from a v3 store nor built with buildSlicedIndexes();
-     * the engine then scans row-major.  Shared so cached IndexScans
-     * and concurrent workers can hold it without copying.
+     * Transposed (bit-sliced) plane of the secondary file, which the
+     * FS1 engine scans.  Never null: it covers the whole index, or
+     * entries [0, baseEntries) of a live composite version whose tail
+     * `deltaSliced` covers.  Shared so cached IndexScans and
+     * concurrent workers can hold it without copying.
      */
     std::shared_ptr<const scw::BitSlicedIndex> sliced;
 
@@ -67,7 +67,8 @@ struct StoredPredicate
      * assertz commit concatenates new clauses onto the base images
      * without rebuilding the (large) base plane; the tail
      * [baseEntries, entryCount) is covered by `deltaSliced` instead.
-     * 0 means `sliced`, when present, covers the whole index.
+     * Meaningful only when `deltaSliced` is set; otherwise `sliced`
+     * covers the whole index.
      */
     std::size_t baseEntries = 0;
 
@@ -94,28 +95,24 @@ class PredicateStore
                    storage::DiskGeometry geometry =
                        storage::DiskGeometry::fujitsuM2351A());
 
-    /** Compile and store every predicate of a program. */
+    /**
+     * Compile and store every predicate of a program, each with its
+     * bit-sliced plane.
+     */
     void addProgram(const term::Program &program);
 
     /**
      * Insert an already-compiled predicate (the store-loading path);
      * the rule fraction is re-derived from the record flags.
      * @param sliced pre-built bit-sliced plane (e.g. deserialized from
-     *        a v3 store), or null to leave the predicate row-major
+     *        a v3 store), or null to transpose @p index here (index
+     *        format v2 carries no plane)
      */
     void addStored(const term::PredicateId &pred,
                    storage::ClauseFile clauses,
                    scw::SecondaryFile index,
                    std::shared_ptr<const scw::BitSlicedIndex> sliced =
                        nullptr);
-
-    /**
-     * Build the transposed plane for every predicate that lacks one
-     * (addProgram leaves them unbuilt; v2 stores load without them).
-     * Idempotent; callable before or after finalize() — the plane is
-     * host-side metadata and does not change the on-disk images.
-     */
-    void buildSlicedIndexes();
 
     /** Finish layout: load the concatenated images onto the disks. */
     void finalize();

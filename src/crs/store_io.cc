@@ -139,14 +139,13 @@ saveStoreImpl(const std::string &directory, const PredicateStore &store,
         storage::saveClauseFile(kbc, stored.clauses);
         // The framed .idx payload is the raw entry image followed by
         // the bit-sliced plane section (index format v3).  Reuse the
-        // store's plane only when it covers the whole index — a live
-        // composite head's base plane stops at baseEntries, and
-        // persisting it would frame a plane that disagrees with the
-        // entry image; such heads get a fresh full transpose (this is
-        // where checkpointing folds the delta mini-plane away).
+        // store's plane unless the version is a live composite — its
+        // base plane stops at baseEntries, and persisting it would
+        // frame a plane that disagrees with the entry image; such heads
+        // get a fresh full transpose (this is where checkpointing folds
+        // the delta mini-plane away).
         std::vector<std::uint8_t> idx_payload = stored.index.image();
-        if (stored.sliced != nullptr &&
-            stored.sliced->entryCount() == stored.index.entryCount()) {
+        if (stored.deltaSliced == nullptr) {
             stored.sliced->serialize(idx_payload);
         } else {
             scw::BitSlicedIndex::build(store.generator(), stored.index)

@@ -10,6 +10,26 @@
 
 namespace clare::fs1 {
 
+namespace {
+
+/**
+ * Every stored predicate carries a plane over its whole index (a live
+ * version's base + delta pair goes through the split search), so a
+ * missing or short plane is a broken invariant, not a fallback case.
+ */
+void
+requireFullPlane(const scw::SecondaryFile &index,
+                 const scw::BitSlicedIndex *sliced)
+{
+    clare_assert(sliced != nullptr &&
+                     sliced->entryCount() == index.entryCount(),
+                 "FS1 plane covers %zu of %zu index entries",
+                 sliced != nullptr ? sliced->entryCount() : 0,
+                 index.entryCount());
+}
+
+} // namespace
+
 Fs1Engine::Fs1Engine(scw::CodewordGenerator generator, Fs1Config config)
     : generator_(std::move(generator)), config_(config)
 {
@@ -23,9 +43,21 @@ Fs1Engine::busyTicks(std::uint64_t bytes) const
         static_cast<double>(kSecond)));
 }
 
+void
+Fs1Engine::pace(std::uint64_t bytes) const
+{
+    if (config_.paceScale <= 0)
+        return;
+    // Paced replay: wait out this share of the device time in scaled
+    // real time.  Concurrent shards wait concurrently.
+    double device_s = static_cast<double>(bytes) / config_.scanRate /
+        config_.paceScale;
+    std::this_thread::sleep_for(std::chrono::duration<double>(device_s));
+}
+
 Fs1Engine::ShardScan
-Fs1Engine::scanRange(const scw::SecondaryFile &index,
-                     const scw::BitSlicedIndex *sliced,
+Fs1Engine::scanRange(const scw::BitSlicedIndex &plane,
+                     std::size_t entry_bytes,
                      const scw::Signature &query,
                      const scw::EntryRange &range,
                      std::uint64_t prefix_bytes,
@@ -35,42 +67,23 @@ Fs1Engine::scanRange(const scw::SecondaryFile &index,
     // thread-local current span belongs to whatever that worker last
     // ran).
     obs::ScopedSpan span(obs.tracer, "fs1.shard", parent);
+    // Shard ranges need not be word-aligned; the matcher edge-masks
+    // partial words, so per-shard hit lists still concatenate into
+    // exactly the sequential order.
+    SlicedMatcher matcher;
+    SlicedMatcher::Hits hits = matcher.scanRange(plane, query, range);
     ShardScan scan;
-    if (slicedUsable(index, sliced)) {
-        // Word-parallel kernel over the transposed plane.  Shard
-        // ranges need not be word-aligned; the matcher edge-masks
-        // partial words, so per-shard hit lists still concatenate
-        // into exactly the sequential order.
-        SlicedMatcher matcher(config_.kernel);
-        SlicedMatcher::Hits hits = matcher.scanRange(*sliced, query,
-                                                     range);
-        scan.clauseOffsets = std::move(hits.clauseOffsets);
-        scan.ordinals = std::move(hits.ordinals);
-        scan.wordOps = hits.wordOps;
-        scan.sliced = true;
-    } else {
-        // Row-major scan, decoding entries into one scratch register
-        // hoisted out of the loop (no per-entry allocation).
-        scw::IndexEntry entry;
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-            index.entryInto(generator_, i, entry);
-            if (generator_.matches(query, entry.signature)) {
-                scan.clauseOffsets.push_back(entry.clauseOffset);
-                scan.ordinals.push_back(entry.ordinal);
-            }
-        }
-    }
+    scan.clauseOffsets = std::move(hits.clauseOffsets);
+    scan.ordinals = std::move(hits.ordinals);
+    scan.wordOps = hits.wordOps;
     scan.entriesScanned = range.size();
-    scan.bytesScanned = index.rangeBytes(range);
+    scan.bytesScanned = range.size() * entry_bytes;
     if (span.active()) {
         span.attr("entries", scan.entriesScanned);
         span.attr("hits",
                   static_cast<std::uint64_t>(scan.ordinals.size()));
         span.attr("bytes", scan.bytesScanned);
-        if (scan.sliced) {
-            span.attr("sliced", static_cast<std::uint64_t>(1));
-            span.attr("word_ops", scan.wordOps);
-        }
+        span.attr("word_ops", scan.wordOps);
         // This shard's share of the device busy time, computed as a
         // difference of *cumulative* conversions: shards are
         // contiguous, so the per-shard spans telescope to exactly the
@@ -79,14 +92,7 @@ Fs1Engine::scanRange(const scw::SecondaryFile &index,
         span.setSimTicks(busyTicks(prefix_bytes + scan.bytesScanned) -
                          busyTicks(prefix_bytes));
     }
-    if (config_.paceScale > 0) {
-        // Paced replay: wait out this shard's share of the device time
-        // in scaled real time.  Concurrent shards wait concurrently.
-        double device_s = static_cast<double>(scan.bytesScanned) /
-            config_.scanRate / config_.paceScale;
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(device_s));
-    }
+    pace(scan.bytesScanned);
     return scan;
 }
 
@@ -98,7 +104,6 @@ Fs1Engine::merge(std::vector<ShardScan> shards,
     result.shards = shards.empty()
         ? 1 : static_cast<std::uint32_t>(shards.size());
     std::uint64_t word_ops = 0;
-    bool sliced = false;
     // Shards are contiguous and processed here in shard order, so the
     // concatenation reproduces the sequential scan order exactly.
     for (ShardScan &scan : shards) {
@@ -111,7 +116,6 @@ Fs1Engine::merge(std::vector<ShardScan> shards,
         result.entriesScanned += scan.entriesScanned;
         result.bytesScanned += scan.bytesScanned;
         word_ops += scan.wordOps;
-        sliced = sliced || scan.sliced;
     }
     // Sum bytes across shards first, then convert once, rounding to
     // the nearest tick: truncating the cast undercounted by up to one
@@ -129,15 +133,8 @@ Fs1Engine::merge(std::vector<ShardScan> shards,
         result.ordinals.size();
     stats_.scalar("bytesScanned", "secondary file bytes streamed") +=
         result.bytesScanned;
-    // Sliced-kernel activity registers only when the kernel ran, so
-    // a default (row-major) run's stats dump is unchanged.
-    if (sliced) {
-        stats_.scalar("slicedScans",
-                      "scans through the bit-sliced plane") += 1;
-        stats_.scalar("slicedWordOps",
-                      "64-bit plane operations in sliced scans") +=
-            word_ops;
-    }
+    stats_.scalar("slicedWordOps",
+                  "64-bit plane operations in sliced scans") += word_ops;
 
     // Mirror the fold into the shared metrics registry (the StatGroup
     // is per-engine; the registry aggregates across the pipeline).
@@ -153,33 +150,11 @@ Fs1Engine::merge(std::vector<ShardScan> shards,
         obs.metrics->counter("fs1.bytes_scanned",
                              "secondary file bytes streamed") +=
             result.bytesScanned;
-        if (sliced) {
-            ++obs.metrics->counter("fs1.sliced.scans",
-                                   "scans through the bit-sliced "
-                                   "plane");
-            obs.metrics->counter("fs1.sliced.word_ops",
-                                 "64-bit plane operations in sliced "
-                                 "scans") += word_ops;
-        }
+        obs.metrics->counter("fs1.sliced.word_ops",
+                             "64-bit plane operations in sliced "
+                             "scans") += word_ops;
     }
     return result;
-}
-
-Fs1Result
-Fs1Engine::search(const scw::SecondaryFile &index,
-                  const scw::Signature &query, const obs::Observer &obs,
-                  obs::SpanId parent) const
-{
-    return search(index, nullptr, query, nullptr, 1, obs, parent);
-}
-
-Fs1Result
-Fs1Engine::search(const scw::SecondaryFile &index,
-                  const scw::Signature &query,
-                  support::ThreadPool *pool, std::uint32_t shards,
-                  const obs::Observer &obs, obs::SpanId parent) const
-{
-    return search(index, nullptr, query, pool, shards, obs, parent);
 }
 
 Fs1Result
@@ -189,26 +164,12 @@ Fs1Engine::search(const scw::SecondaryFile &index,
                   support::ThreadPool *pool, std::uint32_t shards,
                   const obs::Observer &obs, obs::SpanId parent) const
 {
-    if (pool == nullptr || pool->threadCount() == 0 || shards <= 1) {
-        obs::ScopedSpan span(obs.tracer, "fs1.scan", parent);
-        std::vector<ShardScan> one;
-        one.push_back(scanRange(index, sliced, query,
-                                scw::EntryRange{0, index.entryCount()},
-                                0, obs, span.id()));
-        Fs1Result result = merge(std::move(one), obs);
-        if (span.active()) {
-            span.attr("shards",
-                      static_cast<std::uint64_t>(result.shards));
-            span.attr("hits", static_cast<std::uint64_t>(
-                          result.ordinals.size()));
-            span.setSimTicks(result.busyTime);
-        }
-        return result;
-    }
-
-    std::vector<scw::EntryRange> ranges = index.shardRanges(shards);
+    requireFullPlane(index, sliced);
+    std::vector<scw::EntryRange> ranges;
+    if (pool != nullptr && pool->threadCount() > 0 && shards > 1)
+        ranges = index.shardRanges(shards);
     if (ranges.size() <= 1)
-        return search(index, sliced, query, nullptr, 1, obs, parent);
+        ranges.assign(1, scw::EntryRange{0, index.entryCount()});
 
     obs::ScopedSpan span(obs.tracer, "fs1.scan", parent);
     std::vector<ShardScan> scans(ranges.size());
@@ -217,10 +178,14 @@ Fs1Engine::search(const scw::SecondaryFile &index,
     std::vector<std::uint64_t> prefix(ranges.size(), 0);
     for (std::size_t s = 1; s < ranges.size(); ++s)
         prefix[s] = prefix[s - 1] + index.rangeBytes(ranges[s - 1]);
-    pool->parallelFor(ranges.size(), [&](std::size_t s) {
-        scans[s] = scanRange(index, sliced, query, ranges[s], prefix[s],
-                             obs, span.id());
-    });
+    auto scanShard = [&](std::size_t s) {
+        scans[s] = scanRange(*sliced, index.entryBytes(), query,
+                             ranges[s], prefix[s], obs, span.id());
+    };
+    if (ranges.size() == 1)
+        scanShard(0);
+    else
+        pool->parallelFor(ranges.size(), scanShard);
     Fs1Result result = merge(std::move(scans), obs);
     if (span.active()) {
         span.attr("shards", static_cast<std::uint64_t>(result.shards));
@@ -240,59 +205,27 @@ Fs1Engine::search(const scw::SecondaryFile &index,
                   support::ThreadPool *pool, std::uint32_t shards,
                   const obs::Observer &obs, obs::SpanId parent) const
 {
-    // The split path engages only when the base plane + delta plane
-    // exactly tile the composite file.  Anything else (no delta, a
-    // plane mismatch, sliced scanning disabled) forwards to the
-    // regular search — where a composite-sized `sliced` plane is
-    // either usable as-is or the scan degrades to row-major, both
-    // bit-identical in answers and modeled timing.
-    bool split_usable = config_.sliced && delta != nullptr &&
-        (base_entries == 0 ||
-         (sliced != nullptr && sliced->entryCount() == base_entries)) &&
-        base_entries + delta->entryCount() == index.entryCount();
-    if (!split_usable)
+    if (delta == nullptr)
         return search(index, sliced, query, pool, shards, obs, parent);
+    clare_assert((base_entries == 0 ||
+                  (sliced != nullptr &&
+                   sliced->entryCount() == base_entries)) &&
+                     base_entries + delta->entryCount() ==
+                         index.entryCount(),
+                 "FS1 base plane (%zu entries) + delta plane (%zu) do "
+                 "not tile %zu index entries",
+                 base_entries, delta->entryCount(), index.entryCount());
 
     obs::ScopedSpan span(obs.tracer, "fs1.scan", parent);
-    SlicedMatcher matcher(config_.kernel);
     std::vector<ShardScan> scans;
-
-    auto scanPlane = [&](const scw::BitSlicedIndex &plane,
-                         std::uint64_t prefix_bytes) {
-        obs::ScopedSpan shard(obs.tracer, "fs1.shard", span.id());
-        ShardScan scan;
-        SlicedMatcher::Hits hits = matcher.scanRange(
-            plane, query, scw::EntryRange{0, plane.entryCount()});
-        scan.clauseOffsets = std::move(hits.clauseOffsets);
-        scan.ordinals = std::move(hits.ordinals);
-        scan.wordOps = hits.wordOps;
-        scan.sliced = true;
-        scan.entriesScanned = plane.entryCount();
-        scan.bytesScanned = plane.entryCount() * index.entryBytes();
-        if (shard.active()) {
-            shard.attr("entries", scan.entriesScanned);
-            shard.attr("hits", static_cast<std::uint64_t>(
-                           scan.ordinals.size()));
-            shard.attr("bytes", scan.bytesScanned);
-            shard.attr("sliced", static_cast<std::uint64_t>(1));
-            shard.attr("word_ops", scan.wordOps);
-            shard.setSimTicks(
-                busyTicks(prefix_bytes + scan.bytesScanned) -
-                busyTicks(prefix_bytes));
-        }
-        if (config_.paceScale > 0) {
-            double device_s = static_cast<double>(scan.bytesScanned) /
-                config_.scanRate / config_.paceScale;
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(device_s));
-        }
-        return scan;
-    };
-
     if (base_entries > 0)
-        scans.push_back(scanPlane(*sliced, 0));
-    scans.push_back(scanPlane(*delta,
-                              base_entries * index.entryBytes()));
+        scans.push_back(scanRange(*sliced, index.entryBytes(), query,
+                                  scw::EntryRange{0, base_entries}, 0,
+                                  obs, span.id()));
+    scans.push_back(scanRange(*delta, index.entryBytes(), query,
+                              scw::EntryRange{0, delta->entryCount()},
+                              base_entries * index.entryBytes(), obs,
+                              span.id()));
     // merge() sums bytesScanned across both parts before the single
     // ticks conversion, so the split's busyTime matches the one-plane
     // scan of the composite file to the tick.
@@ -320,14 +253,15 @@ Fs1Engine::searchBatch(const scw::SecondaryFile &index,
                  "%zu queries)", observers.size(), queries.size());
     std::vector<Fs1Result> out;
     out.reserve(queries.size());
-    if (!slicedUsable(index, sliced) || queries.size() <= 1) {
+    if (queries.size() <= 1) {
         for (std::size_t k = 0; k < queries.size(); ++k)
             out.push_back(search(index, sliced, queries[k], nullptr, 1,
                                  observers[k], parent));
         return out;
     }
 
-    SlicedMatcher matcher(config_.kernel);
+    requireFullPlane(index, sliced);
+    SlicedMatcher matcher;
     std::vector<SlicedMatcher::Hits> hits =
         matcher.scanBatch(*sliced, queries);
     if (observers[0].metrics != nullptr) {
@@ -351,7 +285,6 @@ Fs1Engine::searchBatch(const scw::SecondaryFile &index,
         scan.entriesScanned = index.entryCount();
         scan.bytesScanned = index.image().size();
         scan.wordOps = hits[k].wordOps;
-        scan.sliced = true;
         std::vector<ShardScan> one;
         one.push_back(std::move(scan));
         Fs1Result result = merge(std::move(one), ob);
@@ -366,16 +299,9 @@ Fs1Engine::searchBatch(const scw::SecondaryFile &index,
         }
         out.push_back(std::move(result));
     }
-    if (config_.paceScale > 0) {
-        // Paced replay charges the modeled device serially per query,
-        // exactly like the unbatched path would.
-        double device_s =
-            static_cast<double>(index.image().size()) *
-            static_cast<double>(queries.size()) / config_.scanRate /
-            config_.paceScale;
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(device_s));
-    }
+    // Paced replay charges the modeled device serially per query,
+    // exactly like the unbatched path would.
+    pace(index.image().size() * queries.size());
     return out;
 }
 

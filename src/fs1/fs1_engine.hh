@@ -11,6 +11,13 @@
  * combines that busy time with the disk streaming time — the engine
  * can only be as fast as the disk feeds it.
  *
+ * The host evaluates the rule word-parallel over the bit-sliced plane
+ * of the secondary file (SlicedMatcher, widest supported kernel); the
+ * plane is part of every stored predicate.  The row-major entry scan
+ * and the structural PLA model the plane replaced live in the
+ * clare_oracle library, which the equivalence tests compare this
+ * engine against in survivors and modeled time.
+ *
  * The scan can be sharded: the secondary file is split into contiguous
  * entry ranges that are matched concurrently on a worker pool, and the
  * per-shard hit lists are concatenated in shard order so the merged
@@ -26,7 +33,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "fs1/kernels.hh"
 #include "scw/bit_sliced_index.hh"
 #include "scw/codeword.hh"
 #include "scw/index_file.hh"
@@ -52,26 +58,6 @@ struct Fs1Config
      * Simulated Ticks are unaffected.  0 (default) disables pacing.
      */
     double paceScale = 0.0;
-
-    /**
-     * Scan through the bit-sliced plane when the caller supplies one
-     * (word-parallel host path).  The survivor sets, modeled busy
-     * time, and every Fs1Result field are bit-identical to the
-     * row-major scan — only the host CPU cost changes — so defaulting
-     * off keeps clean-run metric dumps byte-stable (no fs1.sliced.*
-     * counters appear).
-     */
-    bool sliced = false;
-
-    /**
-     * Block kernel for sliced scans: Auto (default) resolves to the
-     * widest vector ISA the host supports; explicit choices must be
-     * supported (CrsConfig::validate rejects the rest).  Every kernel
-     * is bit-identical in answers, survivor order, scan stats, and
-     * modeled busyTime — only host CPU cost changes.  Ignored on the
-     * row-major path (sliced == false).
-     */
-    Fs1Kernel kernel = Fs1Kernel::Auto;
 };
 
 /** Outcome of one FS1 index scan. */
@@ -106,40 +92,21 @@ class Fs1Engine
     const scw::CodewordGenerator &generator() const { return generator_; }
 
     /**
-     * Scan a secondary file against a query signature.
+     * Scan a secondary file against a query signature through its
+     * bit-sliced plane, split into @p shards contiguous ranges matched
+     * on @p pool (the calling thread participates).  Per-shard hits
+     * concatenate in shard order, so the result is bit-identical at
+     * every shard count.
      *
+     * @param sliced the plane of @p index; it must cover every entry
+     * @param pool worker pool; null or a 0-thread pool scans
+     *        sequentially
+     * @param shards desired shard count; clamped to the entry count
      * @param obs optional tracer/metrics sinks; a "fs1.scan" span
      *        wraps the search with one "fs1.shard" child per shard,
      *        and counters fs1.searches / fs1.entries_scanned /
      *        fs1.hits / fs1.bytes_scanned accumulate in the registry
      * @param parent span the "fs1.scan" span nests under (0 = root)
-     */
-    Fs1Result search(const scw::SecondaryFile &index,
-                     const scw::Signature &query,
-                     const obs::Observer &obs = {},
-                     obs::SpanId parent = 0) const;
-
-    /**
-     * Sharded scan: split the file into @p shards contiguous ranges
-     * and match them on @p pool (the calling thread participates).
-     * The result is bit-identical to the sequential search().
-     *
-     * @param pool worker pool; null or a 0-thread pool degrades to the
-     *        sequential path
-     * @param shards desired shard count; clamped to the entry count
-     */
-    Fs1Result search(const scw::SecondaryFile &index,
-                     const scw::Signature &query,
-                     support::ThreadPool *pool, std::uint32_t shards,
-                     const obs::Observer &obs = {},
-                     obs::SpanId parent = 0) const;
-
-    /**
-     * Like the sharded search(), additionally offering a bit-sliced
-     * plane of @p index.  The plane is used only when config().sliced
-     * is set and the plane covers the file; either way the result is
-     * bit-identical (the sliced kernel changes host CPU cost, never
-     * the survivors or the modeled timing).  @p sliced may be null.
      */
     Fs1Result search(const scw::SecondaryFile &index,
                      const scw::BitSlicedIndex *sliced,
@@ -149,20 +116,19 @@ class Fs1Engine
                      obs::SpanId parent = 0) const;
 
     /**
-     * Sliced scan over a live (base + delta) predicate version: the
-     * base plane covers entries [0, base_entries) of @p index and the
-     * delta mini-plane covers the appended tail [base_entries,
-     * entryCount) — the delta plane's entries carry composite
-     * ordinals and clause offsets, so concatenating base hits then
-     * delta hits reproduces the sequential order over the composite
-     * file exactly.  bytesScanned sums both parts before the one
-     * ticks conversion, so busyTime is bit-identical to scanning a
-     * freshly rebuilt full plane (or the row-major composite file).
+     * Scan a live (base + delta) predicate version: the base plane
+     * covers entries [0, base_entries) of @p index and the delta
+     * mini-plane covers the appended tail [base_entries, entryCount)
+     * — the delta plane's entries carry composite ordinals and clause
+     * offsets, so concatenating base hits then delta hits reproduces
+     * the sequential order over the composite file exactly.
+     * bytesScanned sums both parts before the one ticks conversion,
+     * so busyTime is bit-identical to scanning a freshly rebuilt full
+     * plane.
      *
-     * Falls back to the plain sliced/row-major search when the split
-     * does not cover the file (then @p sliced typically fails the
-     * coverage check too and the scan runs row-major — still
-     * bit-identical in answers and timing).
+     * With @p delta null this is the one-plane search() above (and
+     * @p base_entries is ignored); otherwise the two planes must tile
+     * the file.
      */
     Fs1Result search(const scw::SecondaryFile &index,
                      const scw::BitSlicedIndex *sliced,
@@ -177,11 +143,10 @@ class Fs1Engine
      * Multi-query batch scan: answer @p queries over one index in a
      * single pass over the sliced plane (blocks outer, queries
      * inner), amortizing index memory traffic across the batch.
-     * Element k is bit-identical to search(index, queries[k]) — same
-     * survivors, same entriesScanned/bytesScanned/busyTime — and each
-     * query is accounted (stats, metrics, spans) as its own search.
-     * Falls back to sequential per-query scans when the plane is
-     * absent, config().sliced is off, or the batch has one query.
+     * Element k is bit-identical to the one-plane search() of
+     * queries[k] — same survivors, same entriesScanned/bytesScanned/
+     * busyTime — and each query is accounted (stats, metrics, spans)
+     * as its own search.  A one-query batch simply runs that search.
      *
      * @param observers one observer per query (sizes must match)
      */
@@ -203,38 +168,32 @@ class Fs1Engine
         std::vector<std::uint32_t> ordinals;
         std::uint64_t entriesScanned = 0;
         std::uint64_t bytesScanned = 0;
-        /** 64-bit plane operations (sliced kernel only). */
+        /** 64-bit plane operations. */
         std::uint64_t wordOps = 0;
-        /** This shard ran through the bit-sliced kernel. */
-        bool sliced = false;
     };
 
     /**
-     * @param sliced bit-sliced plane to scan through (null, or ignored
-     *        unless config().sliced is set and it covers the file)
+     * Match @p range of @p plane, whose entries are stored @p entry_bytes
+     * apiece in the modeled secondary file.
+     *
      * @param prefix_bytes bytes scanned by the shards before this one,
      *        so the shard's span ticks can be computed as a difference
      *        of cumulative conversions (see busyTicks()) and per-shard
      *        span totals telescope exactly to the merged busyTime
      */
-    ShardScan scanRange(const scw::SecondaryFile &index,
-                        const scw::BitSlicedIndex *sliced,
+    ShardScan scanRange(const scw::BitSlicedIndex &plane,
+                        std::size_t entry_bytes,
                         const scw::Signature &query,
                         const scw::EntryRange &range,
                         std::uint64_t prefix_bytes,
                         const obs::Observer &obs,
                         obs::SpanId parent) const;
 
-    /** Is the sliced kernel usable for this (config, plane, file)? */
-    bool slicedUsable(const scw::SecondaryFile &index,
-                      const scw::BitSlicedIndex *sliced) const
-    {
-        return config_.sliced && sliced != nullptr &&
-            sliced->entryCount() == index.entryCount();
-    }
-
     /** Cumulative bytes-to-ticks conversion shared by spans + merge. */
     Tick busyTicks(std::uint64_t bytes) const;
+
+    /** Sleep @p bytes of modeled device time when pacing is on. */
+    void pace(std::uint64_t bytes) const;
 
     Fs1Result merge(std::vector<ShardScan> shards,
                     const obs::Observer &obs) const;

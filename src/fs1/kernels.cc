@@ -149,19 +149,6 @@ kernelName(Fs1Kernel kernel)
     return "?";
 }
 
-bool
-parseKernelName(const std::string &name, Fs1Kernel &out)
-{
-    for (Fs1Kernel k : {Fs1Kernel::Auto, Fs1Kernel::Scalar64,
-                        Fs1Kernel::Avx2, Fs1Kernel::Avx512}) {
-        if (name == kernelName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 EdgeMasks
 edgeMasks(std::size_t begin, std::size_t end)
 {

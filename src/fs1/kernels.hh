@@ -18,11 +18,11 @@
  * handling trivial: an edge word is just a survivor word with bits
  * already cleared.
  *
- * Kernel selection is a runtime decision (Fs1Config.kernel): `Auto`
- * resolves to the widest ISA the host supports, explicit choices are
- * honoured only if supported (the CRS config validator rejects the
- * rest).  The scalar kernel is always available and is the oracle the
- * sliced/kernel equivalence suites compare against.
+ * Kernel selection is a runtime decision: the FS1 engine always runs
+ * `Auto`, which resolves to the widest ISA the host supports.
+ * Explicit kernels exist so the equivalence tests and benches can run
+ * each supported one side by side; kernelFn() asserts on the rest.
+ * The scalar kernel is always available.
  */
 
 #ifndef CLARE_FS1_KERNELS_HH
@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace clare::fs1 {
 
@@ -69,9 +68,6 @@ BlockKernelFn kernelFn(Fs1Kernel kernel);
 
 /** Stable lowercase name ("auto", "scalar64", "avx2", "avx512"). */
 const char *kernelName(Fs1Kernel kernel);
-
-/** Parse a kernel name; false (and no write) if unrecognized. */
-bool parseKernelName(const std::string &name, Fs1Kernel &out);
 
 /**
  * Word geometry and edge masks of an entry range [begin, end), shared

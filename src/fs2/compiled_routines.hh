@@ -3,10 +3,11 @@
  * AOT-compiled FS2 match routines: the partial-test-unification
  * microprogram lowered to straight-line host code.
  *
- * The Wcs interpreter fetches and decodes one 64-bit microword per
- * step; this matcher executes the same control flow as compiled C++
- * (the map ROM becomes a 14x14 routine table built from the shared
- * selectRoutine() rule, routines become member functions), while
+ * The reference Wcs interpreter (clare_oracle) fetches and decodes
+ * one 64-bit microword per step; this matcher executes the same
+ * control flow as compiled C++ (the map ROM becomes a 14x14 routine
+ * table built from the shared selectRoutine() rule, routines become
+ * member functions), while
  * accumulating the identical accounting stream: every microword the
  * interpreter would have executed is charged to the instruction
  * counter and sequencer clock at the same point, every TUE operation
@@ -14,8 +15,8 @@
  * sequencer enforces (stream bounds, counter underflow, 16-deep
  * subroutine stack, the map-ROM trap, the runaway-step budget) aborts
  * identically.  The interpreter therefore remains the oracle: the
- * EngineEquivalence fuzz compares verdicts, Table-1 op counts, tick
- * streams, and instruction counts across both.
+ * clause-level equivalence test compares verdicts, Table-1 op counts,
+ * TUE busy time, instruction counts and sequencer time across both.
  *
  * Hardware quirk preserved deliberately: the WCS has ONE pair of
  * element counters with no save/restore across map-ROM dispatches, so
@@ -31,15 +32,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "fs2/map_rom.hh"
+#include "fs2/match_routine.hh"
 #include "fs2/tue.hh"
-#include "fs2/wcs.hh"
 #include "pif/encoder.hh"
 #include "support/sim_time.hh"
 
 namespace clare::fs2 {
 
-/** The compiled-routine drop-in for the Wcs interpreter. */
+/** The compiled match routines the FS2 engine runs. */
 class CompiledMatcher
 {
   public:

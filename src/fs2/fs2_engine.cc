@@ -18,19 +18,11 @@ Fs2SearchResult::filterRate() const
 Fs2Engine::Fs2Engine(Fs2Config config)
     : config_(config),
       tue_(config.level, config.crossBinding),
-      wcs_(WcsConfig{config.sequencerOverhead, 1u << 20}),
       compiled_(config.level, config.crossBinding,
                 WcsConfig{config.sequencerOverhead, 1u << 20}),
       doubleBuffer_(config.doubleBufferBank),
       resultMemory_(config.resultMemoryBytes, config.resultSlotBytes)
 {
-    // Microprogramming mode: translate the matching algorithm into
-    // control-store words and program the map ROM.
-    RoutineAddresses routines;
-    program_ = assembleMatchProgram(config_.level, routines);
-    wcs_.loadProgram(program_);
-    wcs_.loadMapRom(MapRom::program(config_.level, config_.crossBinding,
-                                    routines));
 }
 
 void
@@ -93,7 +85,6 @@ Fs2Engine::runStream(const ClauseFile &file,
 
     Fs2SearchResult result;
     tue_.resetStats();
-    wcs_.resetStats();
     compiled_.resetStats();
     doubleBuffer_.reset();
     resultMemory_.reset();
@@ -154,20 +145,11 @@ Fs2Engine::runStream(const ClauseFile &file,
                                   rec.length);
 
         tue_.resetForClause(db_args.varSlots, query_.varSlots);
-        // Both dispatch targets accumulate the identical sequencer
-        // clock, so the busy-time delta reads whichever one ran.
-        Tick busy_before = tue_.busyTime() +
-            (config_.compiled ? compiled_.sequencerTime()
-                              : wcs_.sequencerTime());
-        ClauseVerdict verdict = config_.compiled
-            ? compiled_.runClause(tue_, db_args.items, rec.arity,
-                                  query_)
-            : wcs_.runClause(tue_, db_args.items, rec.arity, query_);
-        Tick processing = (tue_.busyTime() +
-                           (config_.compiled
-                                ? compiled_.sequencerTime()
-                                : wcs_.sequencerTime())) -
-            busy_before;
+        Tick busy_before = tue_.busyTime() + compiled_.sequencerTime();
+        ClauseVerdict verdict =
+            compiled_.runClause(tue_, db_args.items, rec.arity, query_);
+        Tick processing =
+            tue_.busyTime() + compiled_.sequencerTime() - busy_before;
 
         doubleBuffer_.admit(delivered, processing, rec.length);
 
@@ -195,11 +177,8 @@ Fs2Engine::runStream(const ClauseFile &file,
 
     result.ops = tue_.opCounts();
     result.tueBusyTime = tue_.busyTime();
-    result.sequencerTime = config_.compiled
-        ? compiled_.sequencerTime() : wcs_.sequencerTime();
-    result.microInstructions = config_.compiled
-        ? compiled_.instructionsExecuted()
-        : wcs_.instructionsExecuted();
+    result.sequencerTime = compiled_.sequencerTime();
+    result.microInstructions = compiled_.instructionsExecuted();
     result.stallTime = doubleBuffer_.stallTime();
     result.overruns = doubleBuffer_.overruns();
     if (disk) {

@@ -1,11 +1,14 @@
 /**
  * @file
- * The complete second stage filter (FS2), integrating the Writable
- * Control Store, map ROM, Test Unification Engine, Double Buffer and
- * Result Memory behind the host-visible protocol of section 3:
+ * The complete second stage filter (FS2), integrating the match
+ * routines, Test Unification Engine, Double Buffer and Result Memory
+ * behind the host-visible protocol of section 3:
  *
- *   1. Microprogramming mode — the query is translated into a
- *      microprogram and loaded into the WCS.
+ *   1. Microprogramming mode — the matching algorithm is loaded.  The
+ *      paper's WCS interprets it as microcode; this engine runs it as
+ *      match routines compiled once per engine (CompiledMatcher),
+ *      which charge every microinstruction the WCS would execute.  The
+ *      microcoded WCS itself is the reference in clare_oracle.
  *   2. Set Query mode — the compiled query arguments are written into
  *      the Query Memory.
  *   3. Search mode — clause records stream from the (modeled) disk
@@ -29,7 +32,6 @@
 #include "fs2/double_buffer.hh"
 #include "fs2/result_memory.hh"
 #include "fs2/tue.hh"
-#include "fs2/wcs.hh"
 #include "pif/encoder.hh"
 #include "storage/clause_file.hh"
 #include "storage/disk_model.hh"
@@ -45,16 +47,6 @@ struct Fs2Config
     int level = 3;                  ///< matching level (paper: 3)
     bool crossBinding = true;       ///< cross-binding checks (added)
     Tick sequencerOverhead = 0;     ///< per-microinstruction time
-    /**
-     * Run clauses through the AOT-compiled match routines instead of
-     * the microcode interpreter.  Verdicts, Table-1 op streams,
-     * microinstruction counts, and every timing field are
-     * bit-identical either way (the EngineEquivalence fuzz enforces
-     * it); only the host CPU cost per clause changes.  The
-     * microprogram is still assembled and loaded, so disassembly and
-     * the WCS remain inspectable.
-     */
-    bool compiled = false;
     std::uint32_t doubleBufferBank = 8192;
     std::uint32_t resultMemoryBytes = 32 * 1024;
     std::uint32_t resultSlotBytes = 512;
@@ -98,8 +90,8 @@ class Fs2Engine
     const Fs2Config &config() const { return config_; }
 
     /**
-     * Microprogramming + Set Query modes: compile the query goal into
-     * a microprogram and a Query Memory image.
+     * Set Query mode: compile the query goal into a Query Memory
+     * image.
      *
      * @param q_arena,q_goal the query goal (atom or structure)
      */
@@ -159,17 +151,12 @@ class Fs2Engine
     /** The TUE (e.g. to enable datapath tracing). */
     TestUnificationEngine &tue() { return tue_; }
 
-    /** The assembled microprogram (for inspection/disassembly). */
-    const Microprogram &microprogram() const { return program_; }
-
   private:
     Fs2Config config_;
     TestUnificationEngine tue_;
-    Wcs wcs_;
     CompiledMatcher compiled_;
     DoubleBuffer doubleBuffer_;
     ResultMemory resultMemory_;
-    Microprogram program_;
 
     pif::EncodedArgs query_;
     term::PredicateId predicate_;

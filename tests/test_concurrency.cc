@@ -178,13 +178,15 @@ TEST(Fs1ShardedScanTest, MatchesSequentialScanForAnyShardWidth)
     scw::Signature sig = store.generator().encode(goal.arena, goal.root);
 
     fs1::Fs1Engine engine(store.generator(), fs1::Fs1Config{});
-    fs1::Fs1Result seq = engine.search(stored.index, sig);
+    fs1::Fs1Result seq =
+        engine.search(stored.index, stored.sliced.get(), sig, nullptr, 1);
     ASSERT_GT(seq.entriesScanned, 0u);
 
     support::ThreadPool pool(3);
     for (std::uint32_t shards : {2u, 4u, 16u}) {
         fs1::Fs1Result par =
-            engine.search(stored.index, sig, &pool, shards);
+            engine.search(stored.index, stored.sliced.get(), sig, &pool,
+                          shards);
         EXPECT_EQ(par.ordinals, seq.ordinals) << shards << " shards";
         EXPECT_EQ(par.clauseOffsets, seq.clauseOffsets);
         EXPECT_EQ(par.entriesScanned, seq.entriesScanned);
@@ -491,7 +493,6 @@ TEST(LiveInterleavingTest, SnapshotReadsAreIsolatedFromAStreamingWriter)
             auto store = std::make_unique<crs::PredicateStore>(
                 sym, scw::CodewordGenerator{});
             store->addProgram(program);
-            store->buildSlicedIndexes();
             store->finalize();
             return store;
         };

@@ -13,7 +13,7 @@
 
 #include "crs/client_sim.hh"
 #include "crs/store_io.hh"
-#include "fs1/pla_matcher.hh"
+#include "oracle/pla_matcher.hh"
 #include "storage/file_io.hh"
 #include "support/logging.hh"
 #include "term/term_reader.hh"
@@ -135,7 +135,9 @@ TEST(PlaMatcherTest, ScanMatchesEngineSearch)
     auto structural = pla.scan(index);
 
     fs1::Fs1Engine engine(gen);
-    fs1::Fs1Result behavioural = engine.search(index, qsig);
+    scw::BitSlicedIndex plane = scw::BitSlicedIndex::build(gen, index);
+    fs1::Fs1Result behavioural =
+        engine.search(index, &plane, qsig, nullptr, 1);
 
     ASSERT_EQ(structural.size(), behavioural.ordinals.size());
     for (std::size_t i = 0; i < structural.size(); ++i)

@@ -28,6 +28,7 @@ class Fs1Test : public ::testing::Test
     std::vector<term::Clause> clauses;
     storage::ClauseFile file;
     scw::SecondaryFile index;
+    scw::BitSlicedIndex plane;
 
     void
     buildKb(const std::string &text)
@@ -41,6 +42,7 @@ class Fs1Test : public ::testing::Test
         }
         file = builder.finish();
         index = scw::SecondaryFile::build(gen, sigs, file);
+        plane = scw::BitSlicedIndex::build(gen, index);
     }
 
     Fs1Result
@@ -48,7 +50,8 @@ class Fs1Test : public ::testing::Test
     {
         term::ParsedTerm q = reader.parseTerm(query);
         Fs1Engine engine(gen);
-        return engine.search(index, gen.encode(q.arena, q.root));
+        return engine.search(index, &plane, gen.encode(q.arena, q.root),
+                             nullptr, 1);
     }
 };
 
@@ -104,7 +107,8 @@ TEST_F(Fs1Test, ScanRateConfigurable)
     Fs1Config slow;
     slow.scanRate = 1.0e6;
     Fs1Engine engine(gen, slow);
-    Fs1Result r = engine.search(index, gen.encode(q.arena, q.root));
+    Fs1Result r = engine.search(index, &plane,
+                                gen.encode(q.arena, q.root), nullptr, 1);
     EXPECT_NEAR(toSeconds(r.busyTime),
                 static_cast<double>(r.bytesScanned) / 1.0e6, 1e-9);
 }
@@ -119,7 +123,8 @@ TEST_F(Fs1Test, BusyTimeRoundsToNearestTick)
     Fs1Config cfg;
     cfg.scanRate = 7.0e6;   // bytes/rate lands between ticks
     Fs1Engine engine(gen, cfg);
-    Fs1Result r = engine.search(index, gen.encode(q.arena, q.root));
+    Fs1Result r = engine.search(index, &plane,
+                                gen.encode(q.arena, q.root), nullptr, 1);
 
     double exact = static_cast<double>(r.bytesScanned) / cfg.scanRate *
         static_cast<double>(kSecond);
@@ -163,7 +168,9 @@ TEST_F(Fs1Test, CandidateSetIsSupersetOfAnswers)
     term::TermRef goal = q_arena.import(all[17].arena(), all[17].head(),
                                         0);
     Fs1Engine engine(gen);
-    Fs1Result r = engine.search(idx, gen.encode(q_arena, goal));
+    scw::BitSlicedIndex idx_plane = scw::BitSlicedIndex::build(gen, idx);
+    Fs1Result r = engine.search(idx, &idx_plane, gen.encode(q_arena, goal),
+                                nullptr, 1);
 
     std::set<std::uint32_t> selected(r.ordinals.begin(),
                                      r.ordinals.end());

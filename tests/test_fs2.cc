@@ -2,10 +2,11 @@
  * @file
  * FS2 tests: the datapath timing model against Table 1 and the figure
  * 6-12 route arithmetic, the microinstruction format and assembler,
- * the map ROM, the Double Buffer and Result Memory, and the
- * microcoded engine's exact agreement with the functional matcher
- * (hit/miss, operation counts, and accepted clause sets) over
- * randomized workloads.
+ * the map ROM, the Double Buffer and Result Memory, the engine's
+ * exact agreement with the functional matcher (hit/miss, operation
+ * counts, and accepted clause sets) over randomized workloads, and the
+ * compiled match routines' clause-by-clause agreement with the
+ * reference WCS interpreter (clare_oracle).
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +16,10 @@
 #include "fs2/datapath.hh"
 #include "fs2/double_buffer.hh"
 #include "fs2/fs2_engine.hh"
-#include "fs2/map_rom.hh"
-#include "fs2/microcode.hh"
 #include "fs2/result_memory.hh"
+#include "oracle/map_rom.hh"
+#include "oracle/microcode.hh"
+#include "oracle/wcs.hh"
 #include "storage/clause_file.hh"
 #include "support/logging.hh"
 #include "term/term_reader.hh"
@@ -720,14 +722,16 @@ TEST_P(EngineEquivalence, MatchesFunctionalModel)
 }
 
 /**
- * The compiled routines against their oracle: the AOT-lowered matcher
- * must reproduce the interpreter bit for bit — verdicts, Table-1 op
- * streams, microinstruction counts, and every timing field — across
- * randomized clause sets, at every level and cross-binding setting.
- * Nonzero sequencer overhead so the tick streams actually diverge if
- * an instruction is mis-counted.
+ * The compiled routines against their oracle, clause by clause: the
+ * matcher the engine runs and the microcoded WCS, each driving its own
+ * identically reset TUE over the same clause and query streams, must
+ * agree in verdict, Table-1 op counts, TUE busy time, instruction
+ * count and sequencer time — everything Fs2Engine's stream accounting
+ * reads — at every level and cross-binding setting.  Nonzero sequencer
+ * overhead so the tick streams diverge if an instruction is
+ * mis-counted.
  */
-TEST_P(EngineEquivalence, CompiledRoutinesMatchInterpreter)
+TEST_P(EngineEquivalence, CompiledRoutinesMatchWcsPerClause)
 {
     auto [level, cross_binding] = GetParam();
 
@@ -750,6 +754,7 @@ TEST_P(EngineEquivalence, CompiledRoutinesMatchInterpreter)
     qspec.seed = 11;
     workload::QueryGenerator qgen(sym, qspec);
     pif::Encoder encoder;
+    const WcsConfig config{125 * kNanosecond, 1u << 20};
 
     for (const auto &pred : program.predicates()) {
         storage::ClauseFileBuilder builder(writer);
@@ -762,39 +767,36 @@ TEST_P(EngineEquivalence, CompiledRoutinesMatchInterpreter)
             pif::EncodedArgs qargs = encoder.encodeArgs(
                 q.arena, q.goal, pif::Side::Query);
 
-            Fs2Config config;
-            config.level = level;
-            config.crossBinding = cross_binding;
-            config.sequencerOverhead = 125 * kNanosecond;
+            Wcs wcs = Wcs::programmed(level, cross_binding, config);
+            CompiledMatcher compiled(level, cross_binding, config);
+            for (std::size_t c = 0; c < file.clauseCount(); ++c) {
+                const std::string label = "level " +
+                    std::to_string(level) +
+                    (cross_binding ? " cb" : " nocb") + " query " +
+                    std::to_string(qi) + " clause " + std::to_string(c);
+                pif::EncodedArgs db = file.decodeArgs(c);
+                const std::uint32_t arity = file.record(c).arity;
+                TestUnificationEngine wcs_tue(level, cross_binding);
+                TestUnificationEngine compiled_tue(level, cross_binding);
+                wcs_tue.resetForClause(db.varSlots, qargs.varSlots);
+                compiled_tue.resetForClause(db.varSlots, qargs.varSlots);
+                wcs.resetStats();
+                compiled.resetStats();
 
-            Fs2Engine interp(config);
-            interp.setQuery(qargs, pred);
-            Fs2SearchResult expected = interp.search(file);
-
-            config.compiled = true;
-            Fs2Engine compiled(config);
-            compiled.setQuery(qargs, pred);
-            Fs2SearchResult got = compiled.search(file);
-
-            const std::string label = "level " +
-                std::to_string(level) +
-                (cross_binding ? " cb" : " nocb") + " query " +
-                std::to_string(qi);
-            EXPECT_EQ(got.acceptedOrdinals, expected.acceptedOrdinals)
-                << label;
-            EXPECT_EQ(got.ops, expected.ops) << label;
-            EXPECT_EQ(got.microInstructions, expected.microInstructions)
-                << label;
-            EXPECT_EQ(got.tueBusyTime, expected.tueBusyTime) << label;
-            EXPECT_EQ(got.sequencerTime, expected.sequencerTime)
-                << label;
-            EXPECT_EQ(got.elapsed, expected.elapsed) << label;
-            EXPECT_EQ(got.clausesExamined, expected.clausesExamined)
-                << label;
-            EXPECT_EQ(got.bytesStreamed, expected.bytesStreamed)
-                << label;
-            EXPECT_EQ(got.satisfiers, expected.satisfiers) << label;
-            EXPECT_EQ(got.stallTime, expected.stallTime) << label;
+                EXPECT_EQ(compiled.runClause(compiled_tue, db.items, arity,
+                                             qargs),
+                          wcs.runClause(wcs_tue, db.items, arity, qargs))
+                    << label;
+                EXPECT_EQ(compiled_tue.opCounts(), wcs_tue.opCounts())
+                    << label;
+                EXPECT_EQ(compiled_tue.busyTime(), wcs_tue.busyTime())
+                    << label;
+                EXPECT_EQ(compiled.instructionsExecuted(),
+                          wcs.instructionsExecuted())
+                    << label;
+                EXPECT_EQ(compiled.sequencerTime(), wcs.sequencerTime())
+                    << label;
+            }
         }
     }
 }
@@ -824,19 +826,15 @@ TEST(WcsAccountingTest, SequencerTimeIsInstructionsTimesOverhead)
     term::ParsedQuery q = reader.parseQuery("p(X, Y)");
 
     for (Tick overhead : {Tick{0}, 125 * kNanosecond, 7 * kNanosecond}) {
-        for (bool compiled : {false, true}) {
-            Fs2Config config;
-            config.sequencerOverhead = overhead;
-            config.compiled = compiled;
-            Fs2Engine engine(config);
-            engine.setQuery(q.arena, q.goals[0]);
-            Fs2SearchResult r = engine.search(file);
-            EXPECT_GT(r.microInstructions, 0u);
-            EXPECT_EQ(r.sequencerTime,
-                      static_cast<Tick>(r.microInstructions) * overhead)
-                << "overhead " << overhead << (compiled ? " compiled"
-                                                        : " interpreted");
-        }
+        Fs2Config config;
+        config.sequencerOverhead = overhead;
+        Fs2Engine engine(config);
+        engine.setQuery(q.arena, q.goals[0]);
+        Fs2SearchResult r = engine.search(file);
+        EXPECT_GT(r.microInstructions, 0u);
+        EXPECT_EQ(r.sequencerTime,
+                  static_cast<Tick>(r.microInstructions) * overhead)
+            << "overhead " << overhead;
     }
 }
 

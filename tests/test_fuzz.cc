@@ -12,13 +12,14 @@
  * live server, must end in a typed clare::Error or a correct answer —
  * never a crash, an abort, or silently wrong results.  Saved stores
  * carry the v3 bit-sliced plane section, so the corruption fuzzer also
- * exercises damaged planes; when a damaged store loads anyway, both
- * the row-major and the sliced scan path must answer identically.
+ * exercises damaged planes; when a damaged store loads anyway, its
+ * plane-backed scans must still answer exactly.
  *
- * The sliced-oracle fuzz drives the word-parallel SlicedMatcher
- * against the structural PlaMatcher over random generator geometries,
- * arities (including past the encoding limit), mask densities, and
- * entry counts — the two matchers must agree entry-for-entry.
+ * The sliced-oracle fuzz drives the word-parallel SlicedMatcher, on
+ * every block kernel the host supports, against the structural
+ * PlaMatcher over random generator geometries, arities (including past
+ * the encoding limit), mask densities, and entry counts — the matchers
+ * must agree entry-for-entry.
  */
 
 #include <gtest/gtest.h>
@@ -36,7 +37,7 @@
 #include "crs/store_io.hh"
 #include "crs/transaction.hh"
 #include "net/term_codec.hh"
-#include "fs1/pla_matcher.hh"
+#include "oracle/pla_matcher.hh"
 #include "fs1/sliced_matcher.hh"
 #include "pif/encoder.hh"
 #include "scw/bit_sliced_index.hh"
@@ -333,19 +334,12 @@ TEST_P(StoreCorruptionFuzz, DamagedStoresFailTypedOrAnswerCorrectly)
             term::SymbolTable fresh;
             crs::PredicateStore loaded = crs::loadStore(dir_, fresh);
             // The mutation slipped past the load (e.g. it re-created
-            // the original bytes): retrieval must still be correct —
-            // through the row-major path and through the loaded
-            // bit-sliced plane alike.
+            // the original bytes): retrieval through the loaded
+            // bit-sliced plane must still be correct.
             crs::ClauseRetrievalServer server(fresh, loaded);
             EXPECT_EQ(answersPerMode(server, fresh, "p(a, X)"),
                       expected_)
                 << "iteration " << iter << " on " << victim;
-            crs::CrsConfig sliced_cfg;
-            sliced_cfg.fs1.sliced = true;
-            crs::ClauseRetrievalServer sliced(fresh, loaded, sliced_cfg);
-            EXPECT_EQ(answersPerMode(sliced, fresh, "p(a, X)"),
-                      expected_)
-                << "sliced, iteration " << iter << " on " << victim;
         } catch (const Error &) {
             // Typed rejection is the expected outcome.  Anything else
             // — a crash, an abort, an unknown exception — fails the
@@ -694,7 +688,6 @@ TEST_P(SlicedOracleFuzz, SlicedMatcherAgreesWithPlaMatcher)
         qspec.seed = spec.seed + 7;
         workload::QueryGenerator qgen(sym, qspec);
 
-        fs1::SlicedMatcher matcher;
         for (int q = 0; q < 4; ++q) {
             workload::GeneratedQuery gq = qgen.generate(program, pred);
             scw::Signature query = gen.encode(gq.arena, gq.goal);
@@ -716,14 +709,24 @@ TEST_P(SlicedOracleFuzz, SlicedMatcherAgreesWithPlaMatcher)
                         want_ordinals.push_back(entry.ordinal);
                     }
                 }
-                fs1::SlicedMatcher::Hits got =
-                    matcher.scanRange(plane, query, range);
-                EXPECT_EQ(got.clauseOffsets, want_offsets)
-                    << "iter " << iter << " query " << q << " range ["
-                    << range.begin << ", " << range.end << ")";
-                EXPECT_EQ(got.ordinals, want_ordinals)
-                    << "iter " << iter << " query " << q << " range ["
-                    << range.begin << ", " << range.end << ")";
+                // Every kernel the host supports (the rest skipped).
+                for (fs1::Fs1Kernel kernel : {fs1::Fs1Kernel::Scalar64,
+                                              fs1::Fs1Kernel::Avx2,
+                                              fs1::Fs1Kernel::Avx512}) {
+                    if (!fs1::kernelSupported(kernel))
+                        continue;
+                    fs1::SlicedMatcher matcher(kernel);
+                    fs1::SlicedMatcher::Hits got =
+                        matcher.scanRange(plane, query, range);
+                    EXPECT_EQ(got.clauseOffsets, want_offsets)
+                        << fs1::kernelName(kernel) << " iter " << iter
+                        << " query " << q << " range [" << range.begin
+                        << ", " << range.end << ")";
+                    EXPECT_EQ(got.ordinals, want_ordinals)
+                        << fs1::kernelName(kernel) << " iter " << iter
+                        << " query " << q << " range [" << range.begin
+                        << ", " << range.end << ")";
+                }
             }
         }
     }
@@ -731,176 +734,6 @@ TEST_P(SlicedOracleFuzz, SlicedMatcherAgreesWithPlaMatcher)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SlicedOracleFuzz,
                          ::testing::Values(5u, 55u, 555u));
-
-TEST(InjectedFaultSweep, SlicedServerDegradesIdentically)
-{
-    // The sliced twin of NoSeedCrashesTheServer: with the plane built
-    // and fs1.sliced on, every fault seed still yields either a typed
-    // error or the exact clean-run answers.
-    term::SymbolTable sym;
-    term::TermReader reader(sym);
-    std::string text;
-    for (int i = 0; i < 80; ++i) {
-        text += "p(k" + std::to_string(i % 6) + ", v" +
-            std::to_string(i) + ").\n";
-    }
-    term::Program program;
-    for (auto &c : reader.parseProgram(text))
-        program.add(std::move(c));
-    crs::PredicateStore store(sym, scw::CodewordGenerator{});
-    store.addProgram(program);
-    store.buildSlicedIndexes();
-    store.finalize();
-
-    crs::ClauseRetrievalServer clean(sym, store);
-    std::vector<std::vector<std::uint32_t>> expected =
-        answersPerMode(clean, sym, "p(k2, V)");
-
-    support::FaultConfig config;
-    config.bitFlipRate = 0.3;
-    config.transientReadRate = 0.3;
-    config.delayRate = 0.2;
-    int served = 0;
-    for (config.seed = 1; config.seed <= 32; ++config.seed) {
-        support::FaultInjector inj(config);
-        crs::CrsConfig cfg;
-        cfg.faults = &inj;
-        cfg.fs1.sliced = true;
-        crs::ClauseRetrievalServer faulty(sym, store, cfg);
-        term::ParsedTerm q = reader.parseTerm("p(k2, V)");
-        const crs::SearchMode modes[] = {crs::SearchMode::SoftwareOnly,
-                                         crs::SearchMode::Fs1Only,
-                                         crs::SearchMode::Fs2Only,
-                                         crs::SearchMode::TwoStage};
-        for (std::size_t m = 0; m < 4; ++m) {
-            try {
-                crs::RetrievalResponse r = serveOne(
-                    faulty, q.arena, q.root, modes[m]);
-                ++served;
-                EXPECT_EQ(r.answers, expected[m])
-                    << "seed " << config.seed << " mode " << m;
-            } catch (const IoError &) {
-                // Bounded retries exhausted: typed, not a crash.
-            }
-        }
-    }
-    EXPECT_GT(served, 0);
-}
-
-// ---------------------------------------------------------------------
-// Kernel-sweep fuzz: the same seed replayed across every dispatch
-// target — each supported FS1 kernel crossed with interpreted and
-// compiled FS2 — must produce byte-identical responses and stage
-// breakdowns (unsupported ISAs are skipped, not failed).
-// ---------------------------------------------------------------------
-
-class KernelSweepFuzz : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(KernelSweepFuzz, DispatchTargetsAreBitIdentical)
-{
-    Rng rng(GetParam());
-    for (int iter = 0; iter < 3; ++iter) {
-        term::SymbolTable sym;
-        workload::KbSpec spec;
-        spec.predicates = 2;
-        spec.clausesPerPredicate =
-            static_cast<std::uint32_t>(rng.range(40, 300));
-        spec.arityMin = 2;
-        spec.arityMax = static_cast<std::uint32_t>(rng.range(2, 5));
-        spec.varProb = rng.uniform() * 0.4;
-        spec.structProb = rng.uniform() * 0.4;
-        spec.listProb = rng.uniform() * 0.2;
-        spec.seed = GetParam() * 100 + static_cast<std::uint64_t>(iter);
-        workload::KbGenerator kbgen(sym);
-        term::Program program = kbgen.generate(spec);
-        crs::PredicateStore store(sym, scw::CodewordGenerator{});
-        store.addProgram(program);
-        store.buildSlicedIndexes();
-        store.finalize();
-
-        workload::QuerySpec qspec;
-        qspec.boundArgProb = 0.5;
-        qspec.sharedVarProb = 0.3;
-        qspec.seed = spec.seed + 13;
-        workload::QueryGenerator qgen(sym, qspec);
-        struct Goal
-        {
-            workload::GeneratedQuery q;
-            crs::SearchMode mode;
-        };
-        std::vector<Goal> goals;
-        const crs::SearchMode modes[] = {crs::SearchMode::SoftwareOnly,
-                                         crs::SearchMode::Fs1Only,
-                                         crs::SearchMode::Fs2Only,
-                                         crs::SearchMode::TwoStage};
-        for (int g = 0; g < 6; ++g) {
-            const auto &pred = program.predicates()[
-                rng.below(program.predicates().size())];
-            goals.push_back(Goal{qgen.generate(program, pred),
-                                 modes[rng.below(4)]});
-        }
-
-        // The baseline target: row-major FS1, interpreted FS2.
-        auto responses = [&](const crs::CrsConfig &cfg) {
-            crs::ClauseRetrievalServer server(sym, store, cfg);
-            std::vector<crs::RetrievalResponse> out;
-            for (const Goal &goal : goals)
-                out.push_back(serveOne(server, goal.q.arena,
-                                       goal.q.goal, goal.mode));
-            return out;
-        };
-        std::vector<crs::RetrievalResponse> expected =
-            responses(crs::CrsConfig{});
-
-        for (fs1::Fs1Kernel kernel : {fs1::Fs1Kernel::Scalar64,
-                                      fs1::Fs1Kernel::Avx2,
-                                      fs1::Fs1Kernel::Avx512}) {
-            if (!fs1::kernelSupported(kernel))
-                continue;
-            for (bool compiled : {false, true}) {
-                crs::CrsConfig cfg;
-                cfg.fs1.sliced = true;
-                cfg.fs1.kernel = kernel;
-                cfg.fs2.compiled = compiled;
-                std::vector<crs::RetrievalResponse> got = responses(cfg);
-                ASSERT_EQ(got.size(), expected.size());
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    const std::string label = std::string("iter ") +
-                        std::to_string(iter) + " " +
-                        fs1::kernelName(kernel) +
-                        (compiled ? " compiled" : " interpreted") +
-                        " goal " + std::to_string(i);
-                    const crs::RetrievalResponse &a = expected[i];
-                    const crs::RetrievalResponse &b = got[i];
-                    EXPECT_EQ(a.answers, b.answers) << label;
-                    EXPECT_EQ(a.candidates, b.candidates) << label;
-                    EXPECT_EQ(a.indexEntriesScanned,
-                              b.indexEntriesScanned) << label;
-                    EXPECT_EQ(a.fs1Hits, b.fs1Hits) << label;
-                    EXPECT_EQ(a.clausesExamined, b.clausesExamined)
-                        << label;
-                    EXPECT_EQ(a.filterOps, b.filterOps) << label;
-                    EXPECT_EQ(a.breakdown.queueWait,
-                              b.breakdown.queueWait) << label;
-                    EXPECT_EQ(a.breakdown.cacheTime,
-                              b.breakdown.cacheTime) << label;
-                    EXPECT_EQ(a.breakdown.indexTime,
-                              b.breakdown.indexTime) << label;
-                    EXPECT_EQ(a.breakdown.filterTime,
-                              b.breakdown.filterTime) << label;
-                    EXPECT_EQ(a.breakdown.hostUnifyTime,
-                              b.breakdown.hostUnifyTime) << label;
-                    EXPECT_EQ(a.elapsed, b.elapsed) << label;
-                }
-            }
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KernelSweepFuzz,
-                         ::testing::Values(3u, 33u, 333u));
 
 } // namespace
 } // namespace clare

@@ -2,31 +2,38 @@
  * @file
  * The bit-sliced FS1 index plane (ctest label: sliced).
  *
- * The contract under test is exactness: the word-parallel kernel is a
- * host-side optimization, so every observable — survivor sets (order
- * included), entriesScanned, bytesScanned, busyTime, the full server
- * response — must be bit-identical to the row-major scan at any worker
- * count and any batch width.  The suite property-tests the
- * SlicedMatcher against the structural PlaMatcher across generator
- * configurations, mask densities, and entry counts straddling 64-entry
- * word boundaries; round-trips the persisted v3 plane section; and
- * checks that a corrupted plane is a typed load error, never wrong
- * survivors.
+ * The contract under test is exactness: the word-parallel plane scan
+ * is the FS1 engine's only path, and every observable — survivor sets
+ * (order included), entriesScanned, bytesScanned, busyTime, the full
+ * server response — must be bit-identical to the row-major reference
+ * scan (clare_oracle) at any shard count, across a live base + delta
+ * split, and at any batch width.  The suite property-tests the
+ * SlicedMatcher on every supported kernel against the structural
+ * PlaMatcher across generator configurations, mask densities, and
+ * entry counts straddling 64-entry word boundaries; checks that every
+ * store source (compiled, loaded v4 and v2, live-updated, checkpointed)
+ * carries planes covering its index; round-trips the persisted v3
+ * plane section; and checks that a corrupted plane is a typed load
+ * error, never wrong survivors.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "crs/live_update.hh"
 #include "crs/server.hh"
 #include "crs/store.hh"
 #include "crs/store_io.hh"
 #include "fs1/fs1_engine.hh"
-#include "fs1/pla_matcher.hh"
 #include "fs1/sliced_matcher.hh"
+#include "oracle/pla_matcher.hh"
+#include "oracle/row_major_scan.hh"
 #include "scw/bit_sliced_index.hh"
 #include "storage/file_io.hh"
 #include "support/errors.hh"
@@ -221,7 +228,7 @@ TEST(SlicedMatcherTest, ScanBatchMatchesPerQueryScans)
 }
 
 // ---------------------------------------------------------------------
-// Fs1Engine: sliced scans are bit-identical, shards and batches alike.
+// Fs1Engine vs the row-major reference scan: shards, split, batches.
 // ---------------------------------------------------------------------
 
 void
@@ -235,7 +242,25 @@ expectSameResult(const fs1::Fs1Result &a, const fs1::Fs1Result &b,
     EXPECT_EQ(a.busyTime, b.busyTime) << label;
 }
 
-TEST(Fs1SlicedEngineTest, SearchBitIdenticalAtAnyWorkerCount)
+/**
+ * The plane of entries [begin, end) of @p built's index, built the way
+ * a live commit builds its delta mini-plane: from the entry image, so
+ * the entries keep their composite ordinals and clause offsets.
+ */
+scw::BitSlicedIndex
+planeOf(const BuiltIndex &built, std::size_t begin, std::size_t end)
+{
+    const std::size_t entry_bytes = built.index.entryBytes();
+    const auto &image = built.index.image();
+    std::vector<std::uint8_t> part(
+        image.begin() + static_cast<std::ptrdiff_t>(begin * entry_bytes),
+        image.begin() + static_cast<std::ptrdiff_t>(end * entry_bytes));
+    return scw::BitSlicedIndex::build(
+        built.generator, scw::SecondaryFile::fromImage(
+                             std::move(part), end - begin, entry_bytes));
+}
+
+TEST(Fs1EngineOracleTest, SearchMatchesRowMajorAtAnyShardCount)
 {
     term::SymbolTable sym;
     workload::KbSpec spec;
@@ -245,27 +270,55 @@ TEST(Fs1SlicedEngineTest, SearchBitIdenticalAtAnyWorkerCount)
     spec.seed = 44;
     BuiltIndex built = buildIndex(sym, {}, spec, 5, 0.7);
 
-    fs1::Fs1Engine scalar(built.generator);
-    fs1::Fs1Config sliced_config;
-    sliced_config.sliced = true;
-    fs1::Fs1Engine sliced(built.generator, sliced_config);
-
+    fs1::Fs1Engine engine(built.generator);
     support::ThreadPool pool(4);
     for (const scw::Signature &query : built.queries) {
-        fs1::Fs1Result baseline = scalar.search(built.index, query);
+        fs1::Fs1Result expected =
+            fs1::rowMajorScan(built.generator, built.index, query);
         for (std::uint32_t shards : {1u, 2u, 4u, 7u}) {
-            fs1::Fs1Result got = sliced.search(
+            fs1::Fs1Result got = engine.search(
                 built.index, &built.plane, query,
                 shards > 1 ? &pool : nullptr, shards);
-            expectSameResult(baseline, got,
+            expectSameResult(expected, got,
                              std::to_string(shards) + " shards");
-            EXPECT_EQ(got.shards,
-                      shards > 1 ? shards : 1u);
+            EXPECT_EQ(got.shards, shards);
         }
     }
 }
 
-TEST(Fs1SlicedEngineTest, SearchBatchIdenticalToPerQuerySearches)
+TEST(Fs1EngineOracleTest, BaseDeltaSplitMatchesRowMajor)
+{
+    term::SymbolTable sym;
+    workload::KbSpec spec;
+    spec.predicates = 1;
+    spec.clausesPerPredicate = 200;
+    spec.varProb = 0.2;
+    spec.seed = 45;
+    BuiltIndex built = buildIndex(sym, {}, spec, 5, 0.7);
+    const std::size_t n = built.index.entryCount();
+
+    fs1::Fs1Engine engine(built.generator);
+    // Base sizes on and off the 64-entry word grid, including an
+    // empty base (a predicate whose every entry sits in the delta).
+    for (std::size_t base : {std::size_t{0}, std::size_t{1},
+                             std::size_t{63}, std::size_t{64},
+                             std::size_t{65}, std::size_t{130}, n - 1}) {
+        scw::BitSlicedIndex base_plane = planeOf(built, 0, base);
+        scw::BitSlicedIndex delta = planeOf(built, base, n);
+        for (std::size_t q = 0; q < built.queries.size(); ++q) {
+            expectSameResult(
+                fs1::rowMajorScan(built.generator, built.index,
+                                  built.queries[q]),
+                engine.search(built.index,
+                              base > 0 ? &base_plane : nullptr, &delta,
+                              base, built.queries[q], nullptr, 1),
+                "base " + std::to_string(base) + " query " +
+                    std::to_string(q));
+        }
+    }
+}
+
+TEST(Fs1EngineOracleTest, SearchBatchMatchesRowMajor)
 {
     term::SymbolTable sym;
     workload::KbSpec spec;
@@ -275,42 +328,197 @@ TEST(Fs1SlicedEngineTest, SearchBatchIdenticalToPerQuerySearches)
     spec.seed = 55;
     BuiltIndex built = buildIndex(sym, {}, spec, 8, 0.8);
 
-    fs1::Fs1Config config;
-    config.sliced = true;
-    fs1::Fs1Engine engine(built.generator, config);
+    fs1::Fs1Engine engine(built.generator);
     std::vector<obs::Observer> no_obs(built.queries.size());
     std::vector<fs1::Fs1Result> batch = engine.searchBatch(
         built.index, &built.plane, built.queries, no_obs);
     ASSERT_EQ(batch.size(), built.queries.size());
-
-    fs1::Fs1Engine scalar(built.generator);
     for (std::size_t q = 0; q < built.queries.size(); ++q) {
-        fs1::Fs1Result expected =
-            scalar.search(built.index, built.queries[q]);
-        expectSameResult(expected, batch[q],
-                         "query " + std::to_string(q));
+        expectSameResult(fs1::rowMajorScan(built.generator, built.index,
+                                           built.queries[q]),
+                         batch[q], "query " + std::to_string(q));
     }
 }
 
-TEST(Fs1SlicedEngineTest, MissingPlaneFallsBackToScalarScan)
+TEST(Fs1EngineOracleTest, MissingOrShortPlaneIsABrokenInvariant)
 {
     term::SymbolTable sym;
     workload::KbSpec spec;
     spec.predicates = 1;
     spec.clausesPerPredicate = 80;
     spec.seed = 66;
-    BuiltIndex built = buildIndex(sym, {}, spec, 2, 0.7);
+    BuiltIndex built = buildIndex(sym, {}, spec, 1, 0.7);
 
-    fs1::Fs1Config config;
-    config.sliced = true;
-    fs1::Fs1Engine engine(built.generator, config);
-    fs1::Fs1Engine scalar(built.generator);
-    for (const scw::Signature &query : built.queries) {
-        expectSameResult(scalar.search(built.index, query),
-                         engine.search(built.index, nullptr, query,
-                                       nullptr, 1),
-                         "null plane");
+    fs1::Fs1Engine engine(built.generator);
+    const scw::Signature &query = built.queries[0];
+    EXPECT_DEATH(engine.search(built.index, nullptr, query, nullptr, 1),
+                 "plane covers");
+    scw::BitSlicedIndex short_plane =
+        planeOf(built, 0, built.index.entryCount() - 1);
+    EXPECT_DEATH(engine.search(built.index, &short_plane, query,
+                               nullptr, 1),
+                 "plane covers");
+}
+
+// ---------------------------------------------------------------------
+// The plane invariant: every store source carries covering planes.
+// ---------------------------------------------------------------------
+
+/**
+ * Every predicate version reachable through predicateVersion() has a
+ * plane: either one over its whole index (equal to a fresh transpose),
+ * or a base plane over [0, baseEntries) plus a delta plane over the
+ * tail.
+ */
+void
+expectPlanesCoverIndexes(const crs::PredicateStore &store,
+                         const std::string &source)
+{
+    ASSERT_FALSE(store.predicates().empty()) << source;
+    for (const term::PredicateId &pred : store.predicates()) {
+        std::shared_ptr<const crs::StoredPredicate> v =
+            store.predicateVersion(pred);
+        ASSERT_NE(v, nullptr) << source;
+        ASSERT_NE(v->sliced, nullptr) << source;
+        const std::size_t entries = v->index.entryCount();
+        if (v->deltaSliced == nullptr) {
+            EXPECT_TRUE(*v->sliced == scw::BitSlicedIndex::build(
+                                          store.generator(), v->index))
+                << source;
+        } else {
+            EXPECT_EQ(v->sliced->entryCount(), v->baseEntries) << source;
+            EXPECT_EQ(v->baseEntries + v->deltaSliced->entryCount(),
+                      entries)
+                << source;
+        }
     }
+}
+
+/** A scratch directory removed on scope exit. */
+struct ScratchDir
+{
+    std::string path;
+
+    explicit ScratchDir(const std::string &name)
+        : path(::testing::TempDir() + name)
+    {
+        std::filesystem::remove_all(path);
+    }
+
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+};
+
+/**
+ * Rewrite a saved store in place into the index-format v2 layout: a
+ * manifest without the index-format line or file sizes, and raw
+ * secondary files that are the bare entry image (no plane section).
+ */
+void
+downgradeToV2(const std::string &dir, const crs::PredicateStore &store)
+{
+    std::string scw_line;
+    std::vector<std::string> pred_lines;
+    {
+        std::ifstream in(dir + "/manifest.txt");
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.rfind("scw ", 0) == 0)
+                scw_line = line;
+            if (line.rfind("pred ", 0) != 0)
+                continue;
+            std::istringstream fields(line);
+            std::string word, stem;
+            std::uint32_t functor = 0, arity = 0;
+            fields >> word >> functor >> arity >> stem;
+            pred_lines.push_back("pred " + std::to_string(functor) + " " +
+                                 std::to_string(arity) + " " + stem);
+            const std::string idx = dir + "/" + stem + ".idx";
+            std::vector<std::uint8_t> raw = storage::readFramedBytes(idx);
+            raw.resize(store.predicate(term::PredicateId{functor, arity})
+                           .index.image()
+                           .size());
+            storage::writeBytes(idx, raw);
+        }
+    }
+    std::ofstream out(dir + "/manifest.txt");
+    out << "clare-store 2\n" << scw_line << '\n';
+    for (const std::string &line : pred_lines)
+        out << line << '\n';
+}
+
+TEST(PlaneInvariantTest, EveryStoreSourceCarriesCoveringPlanes)
+{
+    const char *const program_text =
+        "p(a, 1).\np(b, 2).\np(a, 3).\np(c, 4).\n"
+        "q(a).\nq(b).\nq(c).\n";
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    term::Program program;
+    for (auto &c : reader.parseProgram(program_text))
+        program.add(std::move(c));
+
+    // In-memory compiled store.
+    crs::PredicateStore compiled(sym, scw::CodewordGenerator{});
+    compiled.addProgram(program);
+    compiled.finalize();
+    expectPlanesCoverIndexes(compiled, "compiled");
+
+    // Loaded from the current (v4) format.
+    ScratchDir saved("clare_plane_invariant_v4");
+    crs::saveStore(saved.path, compiled, sym);
+    {
+        term::SymbolTable fresh;
+        expectPlanesCoverIndexes(crs::loadStore(saved.path, fresh),
+                                 "loaded v4");
+    }
+
+    // Loaded from an index-format v2 store (no plane section on disk).
+    ScratchDir v2("clare_plane_invariant_v2");
+    crs::saveStore(v2.path, compiled, sym);
+    downgradeToV2(v2.path, compiled);
+    {
+        term::SymbolTable fresh;
+        expectPlanesCoverIndexes(crs::loadStore(v2.path, fresh),
+                                 "loaded v2");
+    }
+
+    // Live assertz (delta plane), retract (compaction), a brand-new
+    // predicate, then a checkpoint reopened from disk.
+    ScratchDir root("clare_plane_invariant_live");
+    crs::saveStore(root.path, compiled, sym);
+    std::uint64_t applied = 0;
+    {
+        term::SymbolTable live_sym;
+        term::TermReader live_reader(live_sym);
+        crs::StoreWalInfo info;
+        crs::PredicateStore store =
+            crs::openStore(root.path, live_sym, &info);
+        crs::LiveStore live(store, live_sym, root.path + "/wal.log",
+                            info.appliedLsn);
+        live.assertz(live_reader.parseClause("p(d, 5)."));
+        live.assertz(live_reader.parseClause("p(e, 6)."));
+        expectPlanesCoverIndexes(store, "after assertz");
+        const term::PredicateId p{live_sym.lookup("p"), 2};
+        ASSERT_NE(store.predicateVersion(p)->deltaSliced, nullptr);
+
+        term::ParsedTerm gone = live_reader.parseTerm("q(b)");
+        ASSERT_TRUE(live.retract(gone.arena, gone.root).has_value());
+        live.assertz(live_reader.parseClause("r(x)."));
+        expectPlanesCoverIndexes(store, "after retract + new predicate");
+
+        live.checkpoint(root.path);
+        applied = live.appliedLsn();
+    }
+    term::SymbolTable reopened_sym;
+    crs::StoreWalInfo info;
+    crs::PredicateStore reopened =
+        crs::openStore(root.path, reopened_sym, &info);
+    EXPECT_EQ(info.appliedLsn, applied);
+    expectPlanesCoverIndexes(reopened, "reopened checkpoint");
 }
 
 // ---------------------------------------------------------------------
@@ -336,7 +544,6 @@ class SlicedStoreTest : public ::testing::Test
         store_ = std::make_unique<crs::PredicateStore>(
             sym_, scw::CodewordGenerator{});
         store_->addProgram(program);
-        store_->buildSlicedIndexes();
         store_->finalize();
         crs::saveStore(dir_, *store_, sym_);
     }
@@ -361,17 +568,6 @@ class SlicedStoreTest : public ::testing::Test
     }
 };
 
-TEST_F(SlicedStoreTest, BuildSlicedIndexesIsIdempotent)
-{
-    for (const term::PredicateId &pred : store_->predicates())
-        ASSERT_NE(store_->predicate(pred).sliced, nullptr);
-    const scw::BitSlicedIndex *before =
-        store_->predicate(store_->predicates()[0]).sliced.get();
-    store_->buildSlicedIndexes();
-    EXPECT_EQ(store_->predicate(store_->predicates()[0]).sliced.get(),
-              before);
-}
-
 TEST_F(SlicedStoreTest, V3RoundTripCarriesIdenticalPlanes)
 {
     term::SymbolTable fresh;
@@ -386,29 +582,6 @@ TEST_F(SlicedStoreTest, V3RoundTripCarriesIdenticalPlanes)
         EXPECT_TRUE(*got.sliced ==
                     *store_->predicate(pred).sliced);
     }
-}
-
-TEST_F(SlicedStoreTest, SaveWithoutPrebuiltPlanesStillWritesV3)
-{
-    // A store whose planes were never built saves a transient
-    // transpose, so every v3 store loads with planes available.
-    term::SymbolTable sym2;
-    term::TermReader reader(sym2);
-    term::Program program;
-    for (auto &c : reader.parseProgram("r(x).\nr(y).\n"))
-        program.add(std::move(c));
-    crs::PredicateStore plain(sym2, scw::CodewordGenerator{});
-    plain.addProgram(program);
-    plain.finalize();
-    std::string dir = ::testing::TempDir() + "clare_sliced_transient";
-    crs::saveStore(dir, plain, sym2);
-
-    term::SymbolTable fresh;
-    crs::PredicateStore loaded = crs::loadStore(dir, fresh);
-    for (const term::PredicateId &pred : loaded.predicates())
-        EXPECT_NE(loaded.predicate(pred).sliced, nullptr);
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
 }
 
 TEST_F(SlicedStoreTest, CorruptPlaneSectionIsTypedLoadError)
@@ -448,7 +621,7 @@ TEST_F(SlicedStoreTest, TrailingBytesAfterPlaneSectionRejected)
 }
 
 // ---------------------------------------------------------------------
-// Server: --sliced + batchWidth is bit-identical to the plain server.
+// Server: batchWidth > 1 is bit-identical to per-query scanning.
 // ---------------------------------------------------------------------
 
 class SlicedServerTest : public ::testing::Test
@@ -474,7 +647,6 @@ class SlicedServerTest : public ::testing::Test
         store = std::make_unique<crs::PredicateStore>(
             sym, scw::CodewordGenerator{});
         store->addProgram(program);
-        store->buildSlicedIndexes();
         store->finalize();
         reader = std::make_unique<term::TermReader>(sym);
         for (const char *text :
@@ -557,7 +729,6 @@ TEST_F(SlicedServerTest, ServeBatchIdenticalAcrossWidthsAndWorkers)
         for (std::uint32_t width : {2u, 4u, 8u}) {
             crs::CrsConfig config;
             config.workers = workers;
-            config.fs1.sliced = true;
             config.batchWidth = width;
             auto server = makeServer(config);
             std::vector<crs::RetrievalResponse> got =
@@ -573,28 +744,10 @@ TEST_F(SlicedServerTest, ServeBatchIdenticalAcrossWidthsAndWorkers)
     }
 }
 
-TEST_F(SlicedServerTest, SlicedSingleRequestsMatchPlainServer)
-{
-    auto plain = makeServer();
-    crs::CrsConfig config;
-    config.fs1.sliced = true;
-    auto sliced = makeServer(config);
-    for (const term::ParsedTerm &goal : goals) {
-        for (crs::SearchMode mode : {crs::SearchMode::Fs1Only,
-                                     crs::SearchMode::TwoStage}) {
-            expectIdentical(plain->serve(request(goal, mode)),
-                            sliced->serve(request(goal, mode)),
-                            crs::searchModeSlug(mode));
-        }
-    }
-}
-
 TEST_F(SlicedServerTest, BatchWidthConfigValidation)
 {
     crs::CrsConfig config;
-    config.batchWidth = 4;      // requires fs1.sliced
-    EXPECT_THROW(makeServer(config), crs::ConfigError);
-    config.fs1.sliced = true;
+    config.batchWidth = 4;
     EXPECT_NO_THROW(makeServer(config));
     config.batchWidth = 0;
     EXPECT_THROW(makeServer(config), crs::ConfigError);
@@ -603,7 +756,7 @@ TEST_F(SlicedServerTest, BatchWidthConfigValidation)
 }
 
 // ---------------------------------------------------------------------
-// Kernel registry: detection, parsing, validation, dispatch.
+// Kernel registry: detection and dispatch.
 // ---------------------------------------------------------------------
 
 /** Concrete kernels the host can run, scalar oracle first. */
@@ -630,43 +783,6 @@ TEST(KernelRegistryTest, ScalarAlwaysAvailableAndAutoResolves)
     EXPECT_EQ(fs1::resolveKernel(fs1::Fs1Kernel::Scalar64),
               fs1::Fs1Kernel::Scalar64);
     EXPECT_NE(fs1::kernelFn(fs1::Fs1Kernel::Scalar64), nullptr);
-}
-
-TEST(KernelRegistryTest, NamesRoundTripAndRejectJunk)
-{
-    for (fs1::Fs1Kernel k : {fs1::Fs1Kernel::Auto,
-                             fs1::Fs1Kernel::Scalar64,
-                             fs1::Fs1Kernel::Avx2,
-                             fs1::Fs1Kernel::Avx512}) {
-        fs1::Fs1Kernel parsed;
-        ASSERT_TRUE(fs1::parseKernelName(fs1::kernelName(k), parsed))
-            << fs1::kernelName(k);
-        EXPECT_EQ(parsed, k);
-    }
-    fs1::Fs1Kernel parsed = fs1::Fs1Kernel::Avx2;
-    EXPECT_FALSE(fs1::parseKernelName("sse9", parsed));
-    EXPECT_FALSE(fs1::parseKernelName("", parsed));
-    EXPECT_FALSE(fs1::parseKernelName("AVX2", parsed));
-    EXPECT_EQ(parsed, fs1::Fs1Kernel::Avx2);    // no write on failure
-}
-
-TEST(KernelRegistryTest, UnsupportedExplicitKernelIsConfigError)
-{
-    // An unsupported ISA must be a typed config rejection, not a
-    // runtime crash.  On hosts supporting everything there is nothing
-    // to reject; the validator accepting all supported choices is
-    // still asserted.
-    for (fs1::Fs1Kernel k : {fs1::Fs1Kernel::Avx2,
-                             fs1::Fs1Kernel::Avx512}) {
-        crs::CrsConfig config;
-        config.fs1.sliced = true;
-        config.fs1.kernel = k;
-        if (fs1::kernelSupported(k))
-            EXPECT_NO_THROW(config.validate()) << fs1::kernelName(k);
-        else
-            EXPECT_THROW(config.validate(), crs::ConfigError)
-                << fs1::kernelName(k);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -797,47 +913,6 @@ TEST(SlicedKernelTest, BoundaryPlaneSizesAgreeAcrossKernels)
                         std::to_string(q));
             }
         }
-    }
-}
-
-TEST(SlicedKernelTest, EngineBitIdenticalAcrossKernelsShardsAndBatches)
-{
-    term::SymbolTable sym;
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 321;
-    spec.varProb = 0.15;
-    spec.seed = 77;
-    BuiltIndex built = buildIndex(sym, {}, spec, 6, 0.7);
-
-    fs1::Fs1Engine scalar(built.generator);
-    support::ThreadPool pool(4);
-    std::vector<obs::Observer> no_obs(built.queries.size());
-    for (fs1::Fs1Kernel kernel : supportedKernels()) {
-        fs1::Fs1Config config;
-        config.sliced = true;
-        config.kernel = kernel;
-        fs1::Fs1Engine engine(built.generator, config);
-        const std::string name = fs1::kernelName(kernel);
-
-        for (const scw::Signature &query : built.queries) {
-            fs1::Fs1Result baseline = scalar.search(built.index, query);
-            for (std::uint32_t shards : {1u, 3u, 7u}) {
-                expectSameResult(
-                    baseline,
-                    engine.search(built.index, &built.plane, query,
-                                  shards > 1 ? &pool : nullptr, shards),
-                    name + " " + std::to_string(shards) + " shards");
-            }
-        }
-        std::vector<fs1::Fs1Result> batch = engine.searchBatch(
-            built.index, &built.plane, built.queries, no_obs);
-        ASSERT_EQ(batch.size(), built.queries.size());
-        for (std::size_t q = 0; q < built.queries.size(); ++q)
-            expectSameResult(scalar.search(built.index,
-                                           built.queries[q]),
-                             batch[q],
-                             name + " batch query " + std::to_string(q));
     }
 }
 

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fs2/tue_datapath.hh"
+#include "oracle/tue_datapath.hh"
 #include "pif/encoder.hh"
 #include "term/term_reader.hh"
 #include "unify/pair_engine.hh"

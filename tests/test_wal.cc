@@ -74,7 +74,7 @@ writeFileBytes(const std::string &path,
 
 std::unique_ptr<PredicateStore>
 makeStore(const term::SymbolTable &sym, term::TermReader &reader,
-          const std::string &text, bool sliced)
+          const std::string &text)
 {
     term::Program program;
     for (auto &c : reader.parseProgram(text))
@@ -82,8 +82,6 @@ makeStore(const term::SymbolTable &sym, term::TermReader &reader,
     auto store = std::make_unique<PredicateStore>(
         sym, scw::CodewordGenerator{});
     store->addProgram(program);
-    if (sliced)
-        store->buildSlicedIndexes();
     store->finalize();
     return store;
 }
@@ -376,7 +374,7 @@ TEST(LiveUpdate, SnapshotReadersPinOldGenerations)
     term::SymbolTable sym;
     term::TermReader reader(sym);
     TempDir dir;
-    auto store = makeStore(sym, reader, kBaseProgram, true);
+    auto store = makeStore(sym, reader, kBaseProgram);
     LiveStore live(*store, sym, dir.path + "/wal.log");
     ClauseRetrievalServer server(sym, *store);
 
@@ -411,32 +409,29 @@ TEST(LiveUpdate, SnapshotReadersPinOldGenerations)
     EXPECT_EQ(head.answers.size(), pre.answers.size() + 1);
 }
 
-TEST(LiveUpdate, BrandNewPredicateFollowsStoreIndexing)
+TEST(LiveUpdate, BrandNewPredicateGetsAFullPlane)
 {
     term::SymbolTable sym;
     term::TermReader reader(sym);
-    for (bool sliced : {true, false}) {
-        TempDir dir;
-        auto store = makeStore(sym, reader, kBaseProgram, sliced);
-        LiveStore live(*store, sym, dir.path + "/wal.log");
-        live.assertz(reader.parseClause("fresh(a)."));
-        const term::PredicateId p{sym.lookup("fresh"), 1};
-        ASSERT_TRUE(store->has(p));
-        auto v = store->predicateVersion(p);
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(v->clauses.clauseCount(), 1u);
-        // A predicate born after generation 0 has no gen-0 version.
-        EXPECT_EQ(store->predicateVersion(p, 0), nullptr);
-        // New predicates match the store's indexing flavor so scans
-        // stay tick-identical with the rest of the store.
-        EXPECT_EQ(v->sliced != nullptr, sliced);
-        EXPECT_EQ(v->deltaSliced, nullptr);
+    TempDir dir;
+    auto store = makeStore(sym, reader, kBaseProgram);
+    LiveStore live(*store, sym, dir.path + "/wal.log");
+    live.assertz(reader.parseClause("fresh(a)."));
+    const term::PredicateId p{sym.lookup("fresh"), 1};
+    ASSERT_TRUE(store->has(p));
+    auto v = store->predicateVersion(p);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->clauses.clauseCount(), 1u);
+    // A predicate born after generation 0 has no gen-0 version.
+    EXPECT_EQ(store->predicateVersion(p, 0), nullptr);
+    ASSERT_NE(v->sliced, nullptr);
+    EXPECT_EQ(v->sliced->entryCount(), 1u);
+    EXPECT_EQ(v->deltaSliced, nullptr);
 
-        ClauseRetrievalServer server(sym, *store);
-        RetrievalResponse r = serveOn(server, reader, "fresh(X)",
-                                      SearchMode::TwoStage);
-        EXPECT_EQ(r.answers, (std::vector<std::uint32_t>{0}));
-    }
+    ClauseRetrievalServer server(sym, *store);
+    RetrievalResponse r = serveOn(server, reader, "fresh(X)",
+                                  SearchMode::TwoStage);
+    EXPECT_EQ(r.answers, (std::vector<std::uint32_t>{0}));
 }
 
 // ---------------------------------------------------------------------
@@ -447,79 +442,71 @@ TEST(LiveUpdate, AssertzDeltaIsBitIdenticalToRebuild)
 {
     term::SymbolTable sym;
     term::TermReader reader(sym);
-    for (bool sliced : {true, false}) {
-        TempDir dir;
-        auto live_store = makeStore(sym, reader, kBaseProgram, sliced);
-        LiveStore live(*live_store, sym, dir.path + "/wal.log");
-        ClauseRetrievalServer live_server(sym, *live_store);
+    TempDir dir;
+    auto live_store = makeStore(sym, reader, kBaseProgram);
+    LiveStore live(*live_store, sym, dir.path + "/wal.log");
+    ClauseRetrievalServer live_server(sym, *live_store);
 
-        // Two commits: one single assertz, one multi-op transaction.
-        live.assertz(reader.parseClause("edge(a, e)."));
-        {
-            LiveStore::Update txn = live.begin();
-            txn.assertz(reader.parseClause("edge(e, b)."));
-            txn.assertz(reader.parseClause("edge(f, f)."));
-            txn.commit();
-        }
-
-        const std::string rebuilt_text = std::string(kBaseProgram) +
-            "edge(a, e).\nedge(e, b).\nedge(f, f).\n";
-        auto ref_store = makeStore(sym, reader, rebuilt_text, sliced);
-        ClauseRetrievalServer ref_server(sym, *ref_store);
-
-        const term::PredicateId edge{sym.lookup("edge"), 2};
-        auto v = live_store->predicateVersion(edge);
-        ASSERT_NE(v, nullptr);
-        // Composite images are byte-identical to the from-scratch build.
-        EXPECT_EQ(v->index.image(), ref_store->predicate(edge).index.image());
-        ASSERT_EQ(v->clauses.clauseCount(), 8u);
-        for (std::size_t i = 0; i < v->clauses.clauseCount(); ++i)
-            EXPECT_EQ(v->clauses.sourceText(i),
-                      ref_store->predicate(edge).clauses.sourceText(i));
-        if (sliced) {
-            // The base plane is shared; only the tail got a delta.
-            ASSERT_NE(v->deltaSliced, nullptr);
-            EXPECT_EQ(v->baseEntries, 5u);
-            EXPECT_EQ(v->sliced->entryCount(), 5u);
-            EXPECT_EQ(v->deltaSliced->entryCount(), 3u);
-        } else {
-            EXPECT_EQ(v->sliced, nullptr);
-            EXPECT_EQ(v->deltaSliced, nullptr);
-        }
-
-        for (const char *goal : kOracleQueries)
-            for (SearchMode mode : kAllModes) {
-                RetrievalResponse a =
-                    serveOn(live_server, reader, goal, mode);
-                RetrievalResponse b =
-                    serveOn(ref_server, reader, goal, mode);
-                expectSameResponse(
-                    a, b,
-                    std::string(goal) + " " + searchModeName(mode) +
-                        (sliced ? " sliced" : " row-major"));
-            }
-
-        // serveBatch over the delta-carrying store matches too.
-        std::vector<term::ParsedTerm> goals;
-        for (const char *goal : kOracleQueries)
-            goals.push_back(reader.parseTerm(goal));
-        std::vector<RetrievalRequest> batch;
-        for (const term::ParsedTerm &g : goals) {
-            RetrievalRequest request;
-            request.arena = &g.arena;
-            request.goal = g.root;
-            request.mode = SearchMode::TwoStage;
-            batch.push_back(request);
-        }
-        std::vector<RetrievalResponse> live_batch =
-            live_server.serveBatch(batch);
-        std::vector<RetrievalResponse> ref_batch =
-            ref_server.serveBatch(batch);
-        ASSERT_EQ(live_batch.size(), ref_batch.size());
-        for (std::size_t i = 0; i < live_batch.size(); ++i)
-            expectSameResponse(live_batch[i], ref_batch[i],
-                               "batch " + std::string(kOracleQueries[i]));
+    // Two commits: one single assertz, one multi-op transaction.
+    live.assertz(reader.parseClause("edge(a, e)."));
+    {
+        LiveStore::Update txn = live.begin();
+        txn.assertz(reader.parseClause("edge(e, b)."));
+        txn.assertz(reader.parseClause("edge(f, f)."));
+        txn.commit();
     }
+
+    const std::string rebuilt_text = std::string(kBaseProgram) +
+        "edge(a, e).\nedge(e, b).\nedge(f, f).\n";
+    auto ref_store = makeStore(sym, reader, rebuilt_text);
+    ClauseRetrievalServer ref_server(sym, *ref_store);
+
+    const term::PredicateId edge{sym.lookup("edge"), 2};
+    auto v = live_store->predicateVersion(edge);
+    ASSERT_NE(v, nullptr);
+    // Composite images are byte-identical to the from-scratch build.
+    EXPECT_EQ(v->index.image(), ref_store->predicate(edge).index.image());
+    ASSERT_EQ(v->clauses.clauseCount(), 8u);
+    for (std::size_t i = 0; i < v->clauses.clauseCount(); ++i)
+        EXPECT_EQ(v->clauses.sourceText(i),
+                  ref_store->predicate(edge).clauses.sourceText(i));
+    // The base plane is shared; only the tail got a delta.
+    ASSERT_NE(v->deltaSliced, nullptr);
+    EXPECT_EQ(v->baseEntries, 5u);
+    EXPECT_EQ(v->sliced->entryCount(), 5u);
+    EXPECT_EQ(v->deltaSliced->entryCount(), 3u);
+
+    for (const char *goal : kOracleQueries)
+        for (SearchMode mode : kAllModes) {
+            RetrievalResponse a =
+                serveOn(live_server, reader, goal, mode);
+            RetrievalResponse b =
+                serveOn(ref_server, reader, goal, mode);
+            expectSameResponse(
+                a, b,
+                std::string(goal) + " " + searchModeName(mode));
+        }
+
+    // serveBatch over the delta-carrying store matches too.
+    std::vector<term::ParsedTerm> goals;
+    for (const char *goal : kOracleQueries)
+        goals.push_back(reader.parseTerm(goal));
+    std::vector<RetrievalRequest> batch;
+    for (const term::ParsedTerm &g : goals) {
+        RetrievalRequest request;
+        request.arena = &g.arena;
+        request.goal = g.root;
+        request.mode = SearchMode::TwoStage;
+        batch.push_back(request);
+    }
+    std::vector<RetrievalResponse> live_batch =
+        live_server.serveBatch(batch);
+    std::vector<RetrievalResponse> ref_batch =
+        ref_server.serveBatch(batch);
+    ASSERT_EQ(live_batch.size(), ref_batch.size());
+    for (std::size_t i = 0; i < live_batch.size(); ++i)
+        expectSameResponse(live_batch[i], ref_batch[i],
+                           "batch " + std::string(kOracleQueries[i]));
 }
 
 TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
@@ -531,49 +518,48 @@ TEST(LiveUpdate, CompactionIsBitIdenticalToRebuild)
         "item(d, 4).\n";
     term::SymbolTable sym;
     term::TermReader reader(sym);
-    for (bool sliced : {true, false}) {
-        TempDir dir;
-        auto live_store = makeStore(sym, reader, base, sliced);
-        LiveStore live(*live_store, sym, dir.path + "/wal.log");
-        ClauseRetrievalServer live_server(sym, *live_store);
+    TempDir dir;
+    auto live_store = makeStore(sym, reader, base);
+    LiveStore live(*live_store, sym, dir.path + "/wal.log");
+    ClauseRetrievalServer live_server(sym, *live_store);
 
-        // First grow a delta, then force a compaction that folds it.
-        live.assertz(reader.parseClause("item(e, 5)."));
-        {
-            LiveStore::Update txn = live.begin();
-            txn.asserta(reader.parseClause("item(z, 0)."));
-            term::ParsedTerm pat = reader.parseTerm("item(b, 2)");
-            EXPECT_TRUE(txn.retract(pat.arena, pat.root));
-            txn.commit();
-        }
-
-        const char *const rebuilt_text =
-            "item(z, 0).\n"
-            "item(a, 1).\n"
-            "item(c, 3).\n"
-            "item(d, 4).\n"
-            "item(e, 5).\n";
-        auto ref_store = makeStore(sym, reader, rebuilt_text, sliced);
-        ClauseRetrievalServer ref_server(sym, *ref_store);
-
-        const term::PredicateId item{sym.lookup("item"), 2};
-        auto v = live_store->predicateVersion(item);
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(v->index.image(),
-                  ref_store->predicate(item).index.image());
-        // Compaction folds the delta back into one full plane.
-        EXPECT_EQ(v->deltaSliced, nullptr);
-        EXPECT_EQ(v->baseEntries, 0u);
-        EXPECT_EQ(v->sliced != nullptr, sliced);
-
-        for (const char *goal : {"item(X, Y)", "item(z, X)",
-                                 "item(b, X)", "item(X, 5)"})
-            for (SearchMode mode : kAllModes)
-                expectSameResponse(
-                    serveOn(live_server, reader, goal, mode),
-                    serveOn(ref_server, reader, goal, mode),
-                    std::string(goal) + " " + searchModeName(mode));
+    // First grow a delta, then force a compaction that folds it.
+    live.assertz(reader.parseClause("item(e, 5)."));
+    {
+        LiveStore::Update txn = live.begin();
+        txn.asserta(reader.parseClause("item(z, 0)."));
+        term::ParsedTerm pat = reader.parseTerm("item(b, 2)");
+        EXPECT_TRUE(txn.retract(pat.arena, pat.root));
+        txn.commit();
     }
+
+    const char *const rebuilt_text =
+        "item(z, 0).\n"
+        "item(a, 1).\n"
+        "item(c, 3).\n"
+        "item(d, 4).\n"
+        "item(e, 5).\n";
+    auto ref_store = makeStore(sym, reader, rebuilt_text);
+    ClauseRetrievalServer ref_server(sym, *ref_store);
+
+    const term::PredicateId item{sym.lookup("item"), 2};
+    auto v = live_store->predicateVersion(item);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->index.image(),
+              ref_store->predicate(item).index.image());
+    // Compaction folds the delta back into one full plane.
+    EXPECT_EQ(v->deltaSliced, nullptr);
+    EXPECT_EQ(v->baseEntries, 0u);
+    ASSERT_NE(v->sliced, nullptr);
+    EXPECT_EQ(v->sliced->entryCount(), v->index.entryCount());
+
+    for (const char *goal : {"item(X, Y)", "item(z, X)",
+                             "item(b, X)", "item(X, 5)"})
+        for (SearchMode mode : kAllModes)
+            expectSameResponse(
+                serveOn(live_server, reader, goal, mode),
+                serveOn(ref_server, reader, goal, mode),
+                std::string(goal) + " " + searchModeName(mode));
 }
 
 TEST(LiveUpdate, RetractConvenienceReportsMatch)
@@ -581,7 +567,7 @@ TEST(LiveUpdate, RetractConvenienceReportsMatch)
     term::SymbolTable sym;
     term::TermReader reader(sym);
     TempDir dir;
-    auto store = makeStore(sym, reader, kBaseProgram, true);
+    auto store = makeStore(sym, reader, kBaseProgram);
     LiveStore live(*store, sym, dir.path + "/wal.log");
 
     term::ParsedTerm hit = reader.parseTerm("edge(c, d)");
@@ -618,7 +604,7 @@ TEST(LiveUpdate, AbortAndEmptyCommitPublishNothing)
     term::SymbolTable sym;
     term::TermReader reader(sym);
     TempDir dir;
-    auto store = makeStore(sym, reader, kBaseProgram, true);
+    auto store = makeStore(sym, reader, kBaseProgram);
     LiveStore live(*store, sym, dir.path + "/wal.log");
     CountingSink sink;
     live.attachSink(&sink);
@@ -649,7 +635,7 @@ TEST(LiveUpdate, MultiPredicateTransactionIsOneGeneration)
     term::SymbolTable sym;
     term::TermReader reader(sym);
     TempDir dir;
-    auto store = makeStore(sym, reader, kBaseProgram, true);
+    auto store = makeStore(sym, reader, kBaseProgram);
     LiveStore live(*store, sym, dir.path + "/wal.log");
     CountingSink sink;
     live.attachSink(&sink);
@@ -684,11 +670,11 @@ TEST(WalKillPoints, CommitSweepRecoversPreOrPostState)
     term::SymbolTable sym;
     term::TermReader reader(sym);
 
-    auto pre_store = makeStore(sym, reader, kBaseProgram, true);
+    auto pre_store = makeStore(sym, reader, kBaseProgram);
     ClauseRetrievalServer pre_server(sym, *pre_store);
     const std::string post_text = std::string(kBaseProgram) +
         "edge(a, e).\nedge(e, b).\n";
-    auto post_store = makeStore(sym, reader, post_text, true);
+    auto post_store = makeStore(sym, reader, post_text);
     ClauseRetrievalServer post_server(sym, *post_store);
 
     RetrievalResponse pre_all =
@@ -706,7 +692,7 @@ TEST(WalKillPoints, CommitSweepRecoversPreOrPostState)
         ASSERT_LT(k, 5000u) << "commit stream implausibly large";
         TempDir dir;
         const std::string wal_path = dir.path + "/wal.log";
-        auto store = makeStore(sym, reader, kBaseProgram, true);
+        auto store = makeStore(sym, reader, kBaseProgram);
         support::FaultConfig config;
         config.killSite = "wal.commit";
         config.killAtByte = k;
@@ -739,7 +725,7 @@ TEST(WalKillPoints, CommitSweepRecoversPreOrPostState)
         }
 
         // Recover onto a fresh pre-commit store, no faults.
-        auto rec_store = makeStore(sym, reader, kBaseProgram, true);
+        auto rec_store = makeStore(sym, reader, kBaseProgram);
         LiveStore rec(*rec_store, sym, wal_path);
         ClauseRetrievalServer rec_server(sym, *rec_store);
         RetrievalResponse r_all = serveOn(rec_server, reader,
@@ -781,14 +767,14 @@ TEST(WalKillPoints, CheckpointSweepAlwaysRecoversCommittedState)
     term::TermReader ref_reader(ref_sym);
     const std::string post_text =
         std::string(kBaseProgram) + "edge(a, e).\n";
-    auto post_store = makeStore(ref_sym, ref_reader, post_text, true);
+    auto post_store = makeStore(ref_sym, ref_reader, post_text);
     ClauseRetrievalServer post_server(ref_sym, *post_store);
     RetrievalResponse post_ref = serveOn(post_server, ref_reader,
                                          "edge(X, Y)",
                                          SearchMode::TwoStage);
     // Reference for the post-recovery commit made inside runOne.
     const std::string post2_text = post_text + "edge(e, b).\n";
-    auto post2_store = makeStore(ref_sym, ref_reader, post2_text, true);
+    auto post2_store = makeStore(ref_sym, ref_reader, post2_text);
     ClauseRetrievalServer post2_server(ref_sym, *post2_store);
     RetrievalResponse post2_ref = serveOn(post2_server, ref_reader,
                                           "edge(X, Y)",
@@ -800,7 +786,7 @@ TEST(WalKillPoints, CheckpointSweepAlwaysRecoversCommittedState)
         {
             term::SymbolTable s0;
             term::TermReader r0(s0);
-            auto st = makeStore(s0, r0, kBaseProgram, true);
+            auto st = makeStore(s0, r0, kBaseProgram);
             saveStore(root.path, *st, s0);
         }
         term::SymbolTable sym;
@@ -895,7 +881,7 @@ TEST(WalKillPoints, CheckpointSweepAlwaysRecoversCommittedState)
         TempDir dir;
         term::SymbolTable sym;
         term::TermReader reader(sym);
-        auto store = makeStore(sym, reader, kBaseProgram, true);
+        auto store = makeStore(sym, reader, kBaseProgram);
         LiveStore live(*store, sym, dir.path + "/wal.log");
         live.assertz(reader.parseClause("edge(a, e)."));
         commit_bytes = live.wal().tailLsn();
@@ -921,7 +907,7 @@ TEST(LiveUpdate, CheckpointRoundTrip)
     {
         term::SymbolTable s0;
         term::TermReader r0(s0);
-        auto st = makeStore(s0, r0, kBaseProgram, true);
+        auto st = makeStore(s0, r0, kBaseProgram);
         saveStore(root.path, *st, s0);
     }
 
@@ -965,7 +951,7 @@ TEST(LiveUpdate, CheckpointRoundTrip)
     term::TermReader ref_reader(ref_sym);
     const std::string post_text = std::string(kBaseProgram) +
         "edge(a, e).\nedge(e, b).\n";
-    auto ref_store = makeStore(ref_sym, ref_reader, post_text, true);
+    auto ref_store = makeStore(ref_sym, ref_reader, post_text);
     ClauseRetrievalServer ref_server(ref_sym, *ref_store);
     ClauseRetrievalServer server(sym, store);
     for (const char *goal : kOracleQueries)
