@@ -2,8 +2,9 @@
 # Tier-1 verification: the canonical build + full test suite, then the
 # fault-injection/corruption suites again under ASan+UBSan so the
 # error paths are proven free of undefined behavior, not just of
-# wrong answers, the cache-hierarchy suite again under TSan so the
-# shared L1/L2/L3 caches are proven free of data races, and the
+# wrong answers, the cache-hierarchy and concurrency suites again
+# under TSan so the shared L1/L2/L3 caches, the batch pipeline and the
+# shared symbol table are proven free of data races, and the
 # bit-sliced equivalence suite again under ASan so the word-indexed
 # plane arithmetic (edge-masked partial ranges in particular) is
 # proven in-bounds, and finally the oracle-equivalence suites under
@@ -87,6 +88,13 @@ echo "== tier-1: TSan build + arena-labeled tests =="
 # caches; the blob shared_ptr handles cross threads.  TSan proves the
 # interleavings race-free.
 ctest --test-dir "$TSAN_BUILD" -L arena --output-on-failure -j
+
+echo "== tier-1: TSan build + tsan-labeled tests =="
+# The concurrency suite: sharded scans, serveBatch pipelines, live
+# writers racing snapshot readers, and cold serving (stored heads
+# parsed through the shared symbol table on first touch) racing a
+# writer that interns fresh atoms.
+ctest --test-dir "$TSAN_BUILD" -L tsan --output-on-failure -j
 
 echo "== tier-1: loopback cluster smoke (replicated + sharded) =="
 # Boots a 3-replica clare_server cluster (one backend fault-poisoned)

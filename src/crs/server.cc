@@ -11,7 +11,6 @@
 #include "support/crc32.hh"
 #include "support/logging.hh"
 #include "term/canonical.hh"
-#include "unify/oracle.hh"
 #include "unify/pif_matcher.hh"
 
 namespace clare::crs {
@@ -388,12 +387,7 @@ ClauseRetrievalServer::serveGoalHit(const GoalCache::Entry &cached,
     // the cached encoding verbatim (id patched per request).
     response = cached.response;
     response.replayBlob = cached.blob;
-    obs::Counter *hits = hot_.cacheHits.load(std::memory_order_acquire);
-    if (hits == nullptr) {
-        hits = &metrics_.counter("crs.cache.hits", "L3 goal-cache hits");
-        hot_.cacheHits.store(hits, std::memory_order_release);
-    }
-    ++*hits;
+    ++*hotCounter(hot_.cacheHits, "crs.cache.hits", "L3 goal-cache hits");
 }
 
 void
@@ -463,17 +457,33 @@ ClauseRetrievalServer::goalCacheSize() const
 void
 ClauseRetrievalServer::hostUnify(const StoredPredicate &stored,
                                  const TermArena &q_arena, TermRef goal,
-                                 RetrievalResponse &response) const
+                                 RetrievalResponse &response)
 {
-    term::TermReader reader(symbols_);
-    for (std::uint32_t ordinal : response.candidates) {
-        std::string text = stored.clauses.sourceText(ordinal);
-        term::Clause clause = reader.parseClause(text);
-        if (unify::wouldUnify(q_arena, goal, clause))
+    HeadUnifier unifier(stored, symbols_, q_arena, goal);
+    for (std::uint32_t ordinal : response.candidates)
+        if (unifier.unifies(ordinal))
             response.answers.push_back(ordinal);
-    }
     response.breakdown.hostUnifyTime = config_.host.perCandidateUnify *
         response.candidates.size();
+
+    *hotCounter(hot_.hostUnifyClauses, "crs.host_unify_clauses",
+                "candidates fully unified on the host") +=
+        response.candidates.size();
+    *hotCounter(hot_.headsDecoded, "crs.host_unify.decoded",
+                "clause heads parsed into a version's decoded-head "
+                "store") += unifier.decoded();
+}
+
+obs::Counter *
+ClauseRetrievalServer::hotCounter(std::atomic<obs::Counter *> &slot,
+                                  const char *name, const char *help)
+{
+    obs::Counter *c = slot.load(std::memory_order_acquire);
+    if (c == nullptr) {
+        c = &metrics_.counter(name, help);
+        slot.store(c, std::memory_order_release);
+    }
+    return c;
 }
 
 // ---------------------------------------------------------------------
@@ -519,14 +529,8 @@ ClauseRetrievalServer::serve(const RetrievalRequest &request)
             accountQuery(response, root);
             return response;
         }
-        obs::Counter *misses =
-            hot_.cacheMisses.load(std::memory_order_acquire);
-        if (misses == nullptr) {
-            misses = &metrics_.counter("crs.cache.misses",
-                                       "L3 goal-cache misses");
-            hot_.cacheMisses.store(misses, std::memory_order_release);
-        }
-        ++*misses;
+        ++*hotCounter(hot_.cacheMisses, "crs.cache.misses",
+                      "L3 goal-cache misses");
     }
 
     IndexScan scan;
@@ -739,14 +743,8 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
                 serveGoalHit(*cached, out[i]);
                 goal_hit = true;
             } else {
-                obs::Counter *misses =
-                    hot_.cacheMisses.load(std::memory_order_acquire);
-                if (misses == nullptr) {
-                    misses = &metrics_.counter("crs.cache.misses",
-                                               "L3 goal-cache misses");
-                    hot_.cacheMisses.store(misses, std::memory_order_release);
-                }
-                ++*misses;
+                ++*hotCounter(hot_.cacheMisses, "crs.cache.misses",
+                              "L3 goal-cache misses");
                 if (usesFs1(modes[i])) {
                     if (!sigs[i]) {
                         // Mispredicted L3 hit: the preprocess pass
@@ -1148,14 +1146,17 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
     // Table 1's operation mix, as cumulative per-op counters.
     if (mode == SearchMode::Fs2Only || mode == SearchMode::TwoStage) {
         for (std::size_t o = 0; o < unify::kTueOpCount; ++o) {
-            if (response.filterOps[o] > 0) {
-                obs.metrics->counter(
+            if (response.filterOps[o] == 0)
+                continue;
+            obs::Counter *c = hot_.fs2Ops[o].load(std::memory_order_acquire);
+            if (c == nullptr) {
+                c = &metrics_.counter(
                     std::string("fs2.op.") +
-                        unify::tueOpName(
-                            static_cast<unify::TueOp>(o)),
-                    "TUE datapath operations (Table 1)") +=
-                    response.filterOps[o];
+                        unify::tueOpName(static_cast<unify::TueOp>(o)),
+                    "TUE datapath operations (Table 1)");
+                hot_.fs2Ops[o].store(c, std::memory_order_release);
             }
+            *c += response.filterOps[o];
         }
     }
 
@@ -1168,9 +1169,6 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
                       response.answers.size()));
         span.setSimTicks(stages.hostUnifyTime);
     }
-    obs.metrics->counter("crs.host_unify_clauses",
-                         "candidates fully unified on the host") +=
-        response.candidates.size();
 
     // The one place total latency is derived from the stages.
     response.elapsed = stages.serviceTime();

@@ -213,8 +213,9 @@ class ClauseRetrievalServer : public CacheInvalidationSink
 {
   public:
     /**
-     * @param symbols shared symbol table (non-const: candidate clauses
-     *        are re-parsed for host-side unification)
+     * @param symbols shared symbol table (non-const: a candidate's head
+     *        is parsed, interning its atoms, the first time it is
+     *        decoded for host unification)
      * @throws ConfigError when @p config is incoherent
      */
     ClauseRetrievalServer(term::SymbolTable &symbols,
@@ -349,6 +350,10 @@ class ClauseRetrievalServer : public CacheInvalidationSink
         std::atomic<obs::Histogram *> elapsed{nullptr};
         std::atomic<obs::Histogram *> queueWait{nullptr};
         std::atomic<obs::Gauge *> heapAllocs{nullptr};
+        std::array<std::atomic<obs::Counter *>, unify::kTueOpCount>
+            fs2Ops{};
+        std::atomic<obs::Counter *> hostUnifyClauses{nullptr};
+        std::atomic<obs::Counter *> headsDecoded{nullptr};
     };
     HotMetrics hot_;
 
@@ -481,18 +486,24 @@ class ClauseRetrievalServer : public CacheInvalidationSink
      * Everything after the FS1 stage: degradation of unhealthy index
      * scans, FS2 / software filtering, fault-recovery accounting,
      * host unification, and the single authoritative stage
-     * accounting.  Runs on the calling thread (it parses candidate
-     * clauses through the shared symbol table).
+     * accounting.  Runs on the calling thread.
      */
     void finishRetrieval(const StoredPredicate &stored,
                          const RetrievalRequest &request,
                          IndexScan scan, const obs::Observer &obs,
                          obs::SpanId root, RetrievalResponse &response);
 
-    /** Host full unification over candidates; fills answers + time. */
+    /**
+     * Host full unification of the goal against each candidate's
+     * decoded head (see DecodedHeads); fills answers + time.
+     */
     void hostUnify(const StoredPredicate &stored,
                    const term::TermArena &q_arena, term::TermRef goal,
-                   RetrievalResponse &response) const;
+                   RetrievalResponse &response);
+
+    /** Resolve a HotMetrics counter slot on first use. */
+    obs::Counter *hotCounter(std::atomic<obs::Counter *> &slot,
+                             const char *name, const char *help);
 
     /** Per-query metrics + root-span finalization (both paths). */
     void accountQuery(RetrievalResponse &response, obs::ScopedSpan &root);

@@ -1,9 +1,68 @@
 #include "crs/store.hh"
 
+#include <algorithm>
+
 #include "support/crc32.hh"
 #include "support/logging.hh"
+#include "term/term_reader.hh"
+#include "unify/unify.hh"
 
 namespace clare::crs {
+
+const term::Cell *
+DecodedHeads::head(const storage::ClauseFile &file, std::uint32_t ordinal,
+                   term::SymbolTable &symbols, bool &decoded)
+{
+    decoded = false;
+    if (Slot *slots = slots_.load(std::memory_order_acquire)) {
+        if (const term::Cell *cells =
+                slots[ordinal].load(std::memory_order_acquire))
+            return cells;
+    }
+
+    term::Clause clause =
+        term::TermReader(symbols).parseClause(file.sourceText(ordinal));
+    std::vector<term::Cell> image;
+    term::encodeCells(clause.arena(), clause.head(), image);
+
+    std::lock_guard<std::mutex> lock(fillMutex_);
+    if (slotStore_ == nullptr) {
+        slotStore_ = std::make_unique<Slot[]>(file.clauseCount());
+        slots_.store(slotStore_.get(), std::memory_order_release);
+    }
+    Slot &slot = slotStore_[ordinal];
+    if (const term::Cell *cells = slot.load(std::memory_order_relaxed))
+        return cells;
+    term::Cell *cells = cells_.allocArray<term::Cell>(image.size());
+    std::copy(image.begin(), image.end(), cells);
+    slot.store(cells, std::memory_order_release);
+    decoded = true;
+    return cells;
+}
+
+HeadUnifier::HeadUnifier(const StoredPredicate &stored,
+                         term::SymbolTable &symbols,
+                         const term::TermArena &q_arena, term::TermRef goal)
+    : stored_(stored), symbols_(symbols), qArena_(q_arena), goal_(goal)
+{
+}
+
+bool
+HeadUnifier::unifies(std::uint32_t ordinal)
+{
+    bool fresh = false;
+    const term::Cell *head =
+        stored_.heads->head(stored_.clauses, ordinal, symbols_, fresh);
+    decoded_ += fresh ? 1 : 0;
+    scratch_.reset();
+    term::TermRef g = scratch_.import(qArena_, goal_, 0);
+    term::TermRef h =
+        term::decodeCells(scratch_, head, qArena_.varCeiling());
+    unify::TrailMark mark = bindings_.mark();
+    bool hit = unify::unifyTerms(scratch_, g, h, bindings_);
+    bindings_.undo(mark);
+    return hit;
+}
 
 PredicateStore::PredicateStore(const term::SymbolTable &symbols,
                                scw::CodewordGenerator generator,

@@ -8,9 +8,11 @@
 #ifndef CLARE_CRS_STORE_HH
 #define CLARE_CRS_STORE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <utility>
@@ -21,11 +23,83 @@
 #include "scw/index_file.hh"
 #include "storage/clause_file.hh"
 #include "storage/disk_model.hh"
+#include "support/arena.hh"
+#include "term/cell_image.hh"
 #include "term/clause.hh"
 #include "term/symbol_table.hh"
 #include "term/term_writer.hh"
+#include "unify/bindings.hh"
 
 namespace clare::crs {
+
+/**
+ * Decoded clause heads of one predicate version, for host
+ * unification.  A head is parsed from its stored source text at most
+ * once, the first time it becomes a candidate, and kept as a flat
+ * term cell image; every later candidate decodes those cells straight
+ * into the request's scratch arena.  MVCC versions are immutable, so
+ * a slot is never invalidated: it dies with its version.
+ *
+ * Readers take a published slot lock-free with an acquire load.  A
+ * fill parses outside the lock and publishes under the per-version
+ * mutex, so racing fills of one ordinal keep exactly one image.
+ */
+class DecodedHeads
+{
+  public:
+    /**
+     * The cell image of the head of clause @p ordinal of @p file,
+     * parsed (interning through @p symbols) on first touch.
+     * @param decoded set to true iff this call parsed and published
+     *        the head
+     */
+    const term::Cell *head(const storage::ClauseFile &file,
+                           std::uint32_t ordinal,
+                           term::SymbolTable &symbols, bool &decoded);
+
+  private:
+    using Slot = std::atomic<const term::Cell *>;
+
+    std::mutex fillMutex_;
+    /** One slot per ordinal, allocated by the first fill. */
+    std::unique_ptr<Slot[]> slotStore_;
+    /** slotStore_ as published to lock-free readers. */
+    std::atomic<Slot *> slots_{nullptr};
+    /** Append-only cell storage; never reset, so images stay put. */
+    support::Arena cells_{64 * 1024};
+};
+
+struct StoredPredicate;
+
+/**
+ * Host full unification of one goal against the decoded heads of one
+ * predicate version: the question unify::wouldUnify() asks of a
+ * freshly parsed clause, without re-reading source text.  One scratch
+ * arena and binding store serve every clause tested: each test
+ * rewinds the arena, imports the goal, decodes the head standardized
+ * apart past the goal's variables, unifies, and undoes the bindings.
+ */
+class HeadUnifier
+{
+  public:
+    HeadUnifier(const StoredPredicate &stored, term::SymbolTable &symbols,
+                const term::TermArena &q_arena, term::TermRef goal);
+
+    /** Does the head of clause @p ordinal unify with the goal? */
+    bool unifies(std::uint32_t ordinal);
+
+    /** Heads this unifier parsed on first touch. */
+    std::uint64_t decoded() const { return decoded_; }
+
+  private:
+    const StoredPredicate &stored_;
+    term::SymbolTable &symbols_;
+    const term::TermArena &qArena_;
+    term::TermRef goal_;
+    term::TermArena scratch_;
+    unify::Bindings bindings_;
+    std::uint64_t decoded_ = 0;
+};
 
 /** One predicate's on-disk artifacts. */
 struct StoredPredicate
@@ -79,6 +153,14 @@ struct StoredPredicate
      * version carries no un-sliced tail.
      */
     std::shared_ptr<const scw::BitSlicedIndex> deltaSliced;
+
+    /**
+     * Host-side decoded heads of `clauses`.  Filled lazily through a
+     * const version (the pointer is const, the cache is not); owned
+     * by this version alone, so a new version starts empty.
+     */
+    std::unique_ptr<DecodedHeads> heads =
+        std::make_unique<DecodedHeads>();
 };
 
 /**

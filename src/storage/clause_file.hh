@@ -7,7 +7,13 @@
  * compiled clause file" (section 2.1).  Each record carries the
  * compiled head-argument stream that FS2 matches, plus the clause's
  * source text so the host can reconstruct the full clause (head and
- * body) for final unification and resolution after retrieval.
+ * body).  The retrieval path reads that text only the first time a
+ * clause becomes a candidate of a store version, to decode its head
+ * for host unification (crs::DecodedHeads); every later candidate
+ * unifies against the decoded cells.  The other readers of the text
+ * are KB resolution (kb::KnowledgeBase, which the clare_shell example
+ * drives), live-update compaction, and the WAL, whose records carry
+ * clause text as their replay currency.
  *
  * Record wire layout (little endian):
  *

@@ -1,5 +1,7 @@
 #include "support/arena.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace clare::support {
@@ -21,8 +23,12 @@ Arena::alloc(std::size_t bytes)
             break;
         ++current_;
     }
+    std::size_t grown = blocks_.empty()
+        ? kFirstBlockBytes
+        : 2 * blocks_.back().capacity;
+    grown = std::min(grown, blockBytes_);
     Block fresh;
-    fresh.capacity = need > blockBytes_ ? need : blockBytes_;
+    fresh.capacity = std::max(need, grown);
     fresh.data = std::make_unique<std::uint8_t[]>(fresh.capacity);
     fresh.used = need;
     blocks_.push_back(std::move(fresh));

@@ -9,11 +9,12 @@
  * requests, so the steady state performs no heap allocation at all.
  *
  * Layout (the `bog_arena_*` idiom): allocations bump a cursor through
- * fixed-capacity blocks; when the current block cannot satisfy a
- * request a new block is chained (sized to the request if it exceeds
- * the default block size).  Every allocation is rounded up to 8 bytes
- * so any scalar or pointer-free struct can live at the returned
- * address.  `reset()` rewinds every block's cursor and keeps the
+ * chained blocks; when the current block cannot satisfy a request a
+ * new block is chained.  Blocks start small and double up to the
+ * configured block size (a request past that gets a block of its own
+ * size), so an arena that only ever holds a few nodes stays small.
+ * Every allocation is rounded up to 8 bytes so any scalar or
+ * pointer-free struct can live at the returned address.  `reset()` rewinds every block's cursor and keeps the
  * high-water memory for reuse — O(blocks), effectively O(1) since the
  * block count stabilizes after warm-up.
  *
@@ -42,9 +43,22 @@ class Arena
     /** Default capacity of each chained block. */
     static constexpr std::size_t kDefaultBlockBytes = 4096;
 
+    /**
+     * Capacity of an arena's first block.  Later blocks double up to
+     * the configured block size, so a small arena (one clause, one
+     * goal) pins 256 bytes instead of a whole block.
+     */
+    static constexpr std::size_t kFirstBlockBytes = 256;
+
     /** Relocatable handle: block index (high 16) + byte offset. */
     using Offset = std::uint64_t;
 
+    /**
+     * @param block_bytes largest capacity a chained block grows to;
+     *        blocks start at min(kFirstBlockBytes, block_bytes) and
+     *        double.  A request larger than the next block's capacity
+     *        gets a block of its own size.
+     */
     explicit Arena(std::size_t block_bytes = kDefaultBlockBytes)
         : blockBytes_(block_bytes == 0 ? kDefaultBlockBytes : block_bytes)
     {

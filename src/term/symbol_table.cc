@@ -5,6 +5,7 @@
 namespace clare::term {
 
 SymbolTable::SymbolTable()
+    : mutex_(std::make_unique<std::shared_mutex>())
 {
     SymbolId nil = intern("[]");
     SymbolId dot = intern(".");
@@ -15,25 +16,33 @@ SymbolTable::SymbolTable()
 SymbolId
 SymbolTable::intern(std::string_view name)
 {
-    auto it = byName_.find(std::string(name));
-    if (it != byName_.end())
-        return it->second;
-    SymbolId id = static_cast<SymbolId>(names_.size());
-    names_.emplace_back(name);
-    byName_.emplace(std::string(name), id);
-    return id;
+    {
+        std::shared_lock lock(*mutex_);
+        auto it = byName_.find(name);
+        if (it != byName_.end())
+            return it->second;
+    }
+    std::unique_lock lock(*mutex_);
+    // Another thread may have inserted the name between the locks.
+    auto [it, inserted] = byName_.try_emplace(
+        std::string(name), static_cast<SymbolId>(names_.size()));
+    if (inserted)
+        names_.emplace_back(name);
+    return it->second;
 }
 
 SymbolId
 SymbolTable::lookup(std::string_view name) const
 {
-    auto it = byName_.find(std::string(name));
+    std::shared_lock lock(*mutex_);
+    auto it = byName_.find(name);
     return it == byName_.end() ? kNoSymbol : it->second;
 }
 
 const std::string &
 SymbolTable::name(SymbolId id) const
 {
+    std::shared_lock lock(*mutex_);
     clare_assert(id < names_.size(), "symbol id %u out of range", id);
     return names_[id];
 }
@@ -41,20 +50,40 @@ SymbolTable::name(SymbolId id) const
 FloatId
 SymbolTable::internFloat(double value)
 {
-    auto it = byFloat_.find(value);
-    if (it != byFloat_.end())
-        return it->second;
-    FloatId id = static_cast<FloatId>(floats_.size());
-    floats_.push_back(value);
-    byFloat_.emplace(value, id);
-    return id;
+    {
+        std::shared_lock lock(*mutex_);
+        auto it = byFloat_.find(value);
+        if (it != byFloat_.end())
+            return it->second;
+    }
+    std::unique_lock lock(*mutex_);
+    auto [it, inserted] = byFloat_.try_emplace(
+        value, static_cast<FloatId>(floats_.size()));
+    if (inserted)
+        floats_.push_back(value);
+    return it->second;
 }
 
 double
 SymbolTable::floatValue(FloatId id) const
 {
+    std::shared_lock lock(*mutex_);
     clare_assert(id < floats_.size(), "float id %u out of range", id);
     return floats_[id];
+}
+
+std::size_t
+SymbolTable::atomCount() const
+{
+    std::shared_lock lock(*mutex_);
+    return names_.size();
+}
+
+std::size_t
+SymbolTable::floatCount() const
+{
+    std::shared_lock lock(*mutex_);
+    return floats_.size();
 }
 
 } // namespace clare::term

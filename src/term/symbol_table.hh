@@ -14,6 +14,11 @@
 #define CLARE_TERM_SYMBOL_TABLE_HH
 
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -37,6 +42,12 @@ constexpr SymbolId kNoSymbol = 0xffffffffu;
  * always '[]' (the empty list) and id 1 is always '.' (the list
  * constructor), mirroring the reserved entries a compiled Prolog
  * system keeps.
+ *
+ * Thread-safe: serving threads intern while decoding stored clause
+ * text as a live commit interns new atoms on the writer thread.
+ * Lookups share a reader lock; only an insert takes it exclusively.
+ * Entries never move once interned, so a reference from name() stays
+ * valid for the table's lifetime.
  */
 class SymbolTable
 {
@@ -58,8 +69,8 @@ class SymbolTable
     /** The value of an interned float. */
     double floatValue(FloatId id) const;
 
-    std::size_t atomCount() const { return names_.size(); }
-    std::size_t floatCount() const { return floats_.size(); }
+    std::size_t atomCount() const;
+    std::size_t floatCount() const;
 
     /** Reserved id of the empty-list atom '[]'. */
     static constexpr SymbolId kNil = 0;
@@ -67,8 +78,22 @@ class SymbolTable
     static constexpr SymbolId kDot = 1;
 
   private:
-    std::vector<std::string> names_;
-    std::unordered_map<std::string, SymbolId> byName_;
+    /** Lets byName_ be probed with a string_view, no temporary. */
+    struct NameHash
+    {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
+    // unique_ptr keeps the table movable.  A deque keeps every name at
+    // a fixed address while later inserts append.
+    std::unique_ptr<std::shared_mutex> mutex_;
+    std::deque<std::string> names_;
+    std::unordered_map<std::string, SymbolId, NameHash, std::equal_to<>>
+        byName_;
     std::vector<double> floats_;
     std::unordered_map<double, FloatId> byFloat_;
 };

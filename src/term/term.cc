@@ -1,7 +1,6 @@
 #include "term/term.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "support/logging.hh"
 
@@ -70,6 +69,14 @@ TermArena::push(Node n)
     TermRef r = static_cast<TermRef>(nodes_.size());
     nodes_.push_back(n);
     return r;
+}
+
+std::uint32_t
+TermArena::reserveArgs(std::uint32_t n)
+{
+    std::uint32_t begin = static_cast<std::uint32_t>(args_.size());
+    args_.resize(begin + n);
+    return begin;
 }
 
 TermRef
@@ -232,23 +239,20 @@ TermArena::import(const TermArena &src, TermRef t, VarId var_offset)
         return makeFloat(n.a);
       case TermKind::Var:
         return makeVar(n.a + var_offset, n.b);
-      case TermKind::Struct: {
-        std::vector<TermRef> args;
-        args.reserve(n.argsCount);
-        for (std::uint32_t i = 0; i < n.argsCount; ++i)
-            args.push_back(import(src, src.args_[n.argsBegin + i],
-                                  var_offset));
-        return makeStruct(n.a, args);
-      }
+      case TermKind::Struct:
       case TermKind::List: {
-        std::vector<TermRef> elems;
-        elems.reserve(n.argsCount);
+        // Reserve the argument slots first: children append their own
+        // argument spans after them, so this node's stay contiguous.
+        std::uint32_t begin = reserveArgs(n.argsCount);
         for (std::uint32_t i = 0; i < n.argsCount; ++i)
-            elems.push_back(import(src, src.args_[n.argsBegin + i],
-                                   var_offset));
+            args_[begin + i] = import(src, src.args_[n.argsBegin + i],
+                                      var_offset);
+        if (n.kind == TermKind::Struct)
+            return push(Node{TermKind::Struct, n.a, 0, begin,
+                             n.argsCount});
         TermRef tail = n.b == kNoTerm
             ? kNoTerm : import(src, n.b, var_offset);
-        return makeList(elems, tail);
+        return push(Node{TermKind::List, 0, tail, begin, n.argsCount});
       }
     }
     clare_panic("unreachable term kind");

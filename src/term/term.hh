@@ -156,6 +156,15 @@ class TermArena
 
     const Node &node(TermRef t) const;
     TermRef push(Node n);
+
+    /** Append @p n argument slots; returns the index of the first. */
+    std::uint32_t reserveArgs(std::uint32_t n);
+
+    /** decodeCells() body, advancing @p cells past the term. */
+    TermRef decodeCellsAt(const std::uint32_t *&cells, VarId var_offset);
+    friend TermRef decodeCells(TermArena &arena,
+                               const std::uint32_t *cells,
+                               VarId var_offset);
 };
 
 } // namespace clare::term

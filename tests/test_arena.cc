@@ -74,17 +74,40 @@ TEST(ArenaTest, AllocationsAreEightByteAligned)
 
 TEST(ArenaTest, BlocksChainAndOversizedRequestsGetTheirOwn)
 {
-    support::Arena arena(64);
+    // Blocks start at kFirstBlockBytes and double up to the block size.
+    support::Arena arena(1024);
     EXPECT_EQ(arena.blockCount(), 0u);
-    arena.alloc(48);
+    arena.alloc(200);
     EXPECT_EQ(arena.blockCount(), 1u);
-    arena.alloc(48); // does not fit the 64-byte block: chain
+    EXPECT_EQ(arena.capacityBytes(), support::Arena::kFirstBlockBytes);
+    arena.alloc(200); // does not fit the 256-byte block: chain 512
     EXPECT_EQ(arena.blockCount(), 2u);
-    void *big = arena.alloc(1000); // past block size: own block
-    EXPECT_EQ(arena.blockCount(), 3u);
+    EXPECT_EQ(arena.capacityBytes(), 256u + 512);
+    arena.alloc(400); // chain 1024, the cap
+    arena.alloc(1000); // chain another 1024: growth stops at the cap
+    EXPECT_EQ(arena.blockCount(), 4u);
+    EXPECT_EQ(arena.capacityBytes(), 256u + 512 + 1024 + 1024);
+    void *big = arena.alloc(5000); // past block size: own block
+    EXPECT_EQ(arena.blockCount(), 5u);
     ASSERT_NE(big, nullptr);
-    std::memset(big, 0xab, 1000);
-    EXPECT_GE(arena.capacityBytes(), 64u + 64 + 1000);
+    std::memset(big, 0xab, 5000);
+    EXPECT_EQ(arena.capacityBytes(), 256u + 512 + 1024 + 1024 + 5000);
+    arena.alloc(300); // after an oversized block, back to the cap
+    EXPECT_EQ(arena.capacityBytes(),
+              256u + 512 + 1024 + 1024 + 5000 + 1024);
+
+    // A block size below kFirstBlockBytes is used from the start.
+    support::Arena small(64);
+    small.alloc(48);
+    small.alloc(48);
+    EXPECT_EQ(small.blockCount(), 2u);
+    EXPECT_EQ(small.capacityBytes(), 128u);
+
+    // A small arena (one clause, one goal) pins a 256-byte block, not
+    // a whole default-sized one.
+    support::Arena deflt;
+    deflt.alloc(24);
+    EXPECT_EQ(deflt.capacityBytes(), support::Arena::kFirstBlockBytes);
 }
 
 TEST(ArenaTest, ResetRetainsBlocksAndReusesAddresses)

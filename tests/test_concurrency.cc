@@ -9,7 +9,9 @@
  * interleaving: a writer thread streaming assertz commits through a
  * LiveStore while concurrent serveBatch() readers prove that
  * snapshot-pinned reads stay bit-identical to the quiesced pre-commit
- * reference.  These tests carry the `tsan` ctest label so a
+ * reference, and cold serving (stored clause heads parsed on first
+ * touch through the shared symbol table) racing a writer that interns
+ * fresh atoms.  These tests carry the `tsan` ctest label so a
  * -DCLARE_SANITIZE=thread build exercises them under ThreadSanitizer.
  */
 
@@ -29,6 +31,7 @@
 #include "support/stats.hh"
 #include "support/thread_pool.hh"
 #include "term/term_reader.hh"
+#include "unify/oracle.hh"
 #include "workload/kb_generator.hh"
 #include "workload/query_generator.hh"
 
@@ -509,10 +512,8 @@ TEST(LiveInterleavingTest, SnapshotReadsAreIsolatedFromAStreamingWriter)
         crs::ClauseRetrievalServer server(sym, *store, config);
         live.attachSink(&server);
 
-        // Pre-parse every clause the writer will stream so all symbol
-        // interning happens before a second thread exists — the
-        // SymbolTable is unsynchronized, and once the names are in the
-        // table the commit path only performs lookups.
+        // Pre-parse every clause the writer will stream; the text also
+        // feeds the from-scratch rebuild below.
         std::vector<term::Clause> stream;
         std::string streamed_text;
         for (int i = 0; i < kStream; ++i) {
@@ -623,6 +624,134 @@ TEST(LiveInterleavingTest, SnapshotReadsAreIsolatedFromAStreamingWriter)
         }
         std::remove(wal_path.c_str());
     }
+}
+
+// ---------------------------------------------------------------------
+// Symbol interning under concurrency.  Cold serving parses stored
+// clause text through the shared SymbolTable while a live commit
+// interns fresh atoms on the writer thread.
+// ---------------------------------------------------------------------
+
+TEST(SymbolTableConcurrencyTest, ConcurrentInternsAgreeAndNamesStayPut)
+{
+    term::SymbolTable sym;
+    const std::string *nil = &sym.name(term::SymbolTable::kNil);
+    constexpr int kThreads = 4;
+    constexpr int kNames = 400;
+    std::vector<std::vector<term::SymbolId>> ids(
+        kThreads, std::vector<term::SymbolId>(kNames));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Each thread walks the names in its own order.
+            for (int k = 0; k < kNames; ++k) {
+                int i = (k * 7 + t * 101) % kNames;
+                std::string name = "s" + std::to_string(i);
+                ids[t][i] = sym.intern(name);
+                EXPECT_EQ(sym.name(ids[t][i]), name);
+                EXPECT_EQ(sym.lookup(name), ids[t][i]);
+                sym.internFloat(static_cast<double>(i) / 4.0);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(ids[t], ids[0]) << "thread " << t;
+    EXPECT_EQ(sym.atomCount(), 2u + kNames);
+    EXPECT_EQ(sym.floatCount(), static_cast<std::size_t>(kNames));
+    EXPECT_EQ(&sym.name(term::SymbolTable::kNil), nil)
+        << "interned names never move";
+}
+
+TEST(LiveInterleavingTest, ColdServingRacesAWriterInterningFreshAtoms)
+{
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    workload::KbSpec spec;
+    spec.predicates = 3;
+    spec.clausesPerPredicate = 150;
+    spec.arityMin = spec.arityMax = 2;
+    spec.varProb = 0.1;
+    spec.seed = 41;
+    workload::KbGenerator kbgen(sym);
+    term::Program program = kbgen.generate(spec);
+    crs::PredicateStore store(sym, scw::CodewordGenerator{});
+    store.addProgram(program);
+    store.finalize();
+
+    const std::string wal_path =
+        ::testing::TempDir() + "cold_serving_intern.wal";
+    std::remove(wal_path.c_str());
+    crs::LiveStore live(store, sym, wal_path);
+    crs::CrsConfig config;
+    config.workers = 4;
+    crs::ClauseRetrievalServer server(sym, store, config);
+    live.attachSink(&server);
+
+    // All-variable goals make every stored head a candidate, so the
+    // cold first batch parses the whole store.
+    std::vector<std::string> pred_names;
+    std::vector<term::ParsedTerm> goals;
+    for (const term::PredicateId &pred : program.predicates()) {
+        pred_names.push_back(sym.name(pred.functor));
+        goals.push_back(reader.parseTerm(pred_names.back() + "(X, Y)"));
+        goals.push_back(reader.parseTerm(pred_names.back() + "(X, X)"));
+    }
+    std::vector<crs::RetrievalRequest> batch;
+    for (std::size_t i = 0; i < goals.size(); ++i) {
+        crs::RetrievalRequest r;
+        r.arena = &goals[i].arena;
+        r.goal = goals[i].root;
+        r.mode = (i % 2 == 0) ? crs::SearchMode::TwoStage
+                              : crs::SearchMode::Fs1Only;
+        batch.push_back(r);
+    }
+
+    constexpr int kCommits = 12;
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        // Parsing on this thread interns the fresh atoms; the commit
+        // parses the text again before it publishes.
+        for (int i = 0; i < kCommits; ++i)
+            live.assertz(reader.parseClause(
+                pred_names[i % pred_names.size()] + "(fresh_" +
+                std::to_string(i) + ", also_" + std::to_string(i) + ")."));
+        done.store(true, std::memory_order_release);
+    });
+    auto serve_until_done = [&] {
+        do {
+            std::vector<crs::RetrievalResponse> got =
+                server.serveBatch(batch);
+            ASSERT_EQ(got.size(), batch.size());
+            for (std::size_t i = 0; i < got.size(); i += 2)
+                EXPECT_EQ(got[i].answers.size(), got[i].candidates.size())
+                    << "every head unifies with p(X, Y)";
+        } while (!done.load(std::memory_order_acquire));
+    };
+    std::thread reader_a(serve_until_done);
+    std::thread reader_b(serve_until_done);
+    writer.join();
+    reader_a.join();
+    reader_b.join();
+
+    // Quiesced: every answer set equals the parse-then-wouldUnify
+    // oracle over the head version's clauses.
+    std::vector<crs::RetrievalResponse> got = server.serveBatch(batch);
+    for (std::size_t i = 0; i < goals.size(); ++i) {
+        const crs::StoredPredicate &stored = store.predicate(
+            term::PredicateId{goals[i].arena.functor(goals[i].root), 2});
+        std::vector<std::uint32_t> expect;
+        for (std::uint32_t c = 0; c < stored.clauses.clauseCount(); ++c)
+            if (unify::wouldUnify(goals[i].arena, goals[i].root,
+                                  reader.parseClause(
+                                      stored.clauses.sourceText(c))))
+                expect.push_back(c);
+        EXPECT_EQ(got[i].answers, expect) << "goal " << i;
+    }
+    EXPECT_NE(sym.lookup("fresh_" + std::to_string(kCommits - 1)),
+              term::kNoSymbol);
+    std::remove(wal_path.c_str());
 }
 
 } // namespace

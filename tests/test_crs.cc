@@ -1,18 +1,26 @@
 /**
  * @file
  * CRS tests: predicate store layout, the four retrieval modes (answer
- * equality, candidate-set quality ordering), mode selection, and the
- * lock manager / transactions.
+ * equality, candidate-set quality ordering), mode selection, host
+ * unification against decoded heads (parse-then-wouldUnify oracle,
+ * decode-once accounting), and the lock manager / transactions.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <set>
+
+#include "crs/live_update.hh"
 #include "crs/server.hh"
 #include "crs/store.hh"
 #include "crs/transaction.hh"
 #include "support/logging.hh"
 #include "term/term_reader.hh"
+#include "unify/oracle.hh"
 #include "workload/kb_generator.hh"
+#include "workload/query_generator.hh"
 
 namespace clare::crs {
 namespace {
@@ -240,6 +248,224 @@ term::PredicateId
 pred(std::uint32_t functor, std::uint32_t arity = 1)
 {
     return term::PredicateId{functor, arity};
+}
+
+// ---------------------------------------------------------------------
+// Host unification against decoded heads.  The oracle re-reads each
+// clause's source text, parses it, and asks unify::wouldUnify().
+// ---------------------------------------------------------------------
+
+/**
+ * For every clause of the goal's predicate, HeadUnifier must agree
+ * with the oracle — once cold (each head parsed on first touch) and
+ * once warm (every head already decoded, nothing parsed again).
+ */
+void
+expectHeadsMatchOracle(term::SymbolTable &sym, const PredicateStore &store,
+                       const term::TermArena &q_arena, term::TermRef goal)
+{
+    term::TermReader reader(sym);
+    term::PredicateId pred =
+        q_arena.kind(goal) == term::TermKind::Atom
+            ? term::PredicateId{q_arena.atomSymbol(goal), 0}
+            : term::PredicateId{q_arena.functor(goal), q_arena.arity(goal)};
+    const StoredPredicate &stored = store.predicate(pred);
+    const std::uint32_t n =
+        static_cast<std::uint32_t>(stored.clauses.clauseCount());
+    std::vector<bool> expect(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        expect[i] = unify::wouldUnify(
+            q_arena, goal,
+            reader.parseClause(stored.clauses.sourceText(i)));
+    for (int pass = 0; pass < 2; ++pass) {
+        HeadUnifier unifier(stored, sym, q_arena, goal);
+        for (std::uint32_t i = 0; i < n; ++i)
+            EXPECT_EQ(unifier.unifies(i), expect[i])
+                << "clause " << stored.clauses.sourceText(i)
+                << " pass " << pass;
+        if (pass == 1) {
+            EXPECT_EQ(unifier.decoded(), 0u);
+        }
+    }
+}
+
+TEST(HeadUnifierTest, SeededKbsMatchParseThenWouldUnify)
+{
+    for (std::uint64_t seed : {3u, 11u, 29u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        term::SymbolTable sym;
+        workload::KbSpec spec;
+        spec.predicates = 3;
+        spec.clausesPerPredicate = 120;
+        spec.arityMin = 1;
+        spec.structProb = 0.3;
+        spec.listProb = 0.15;
+        spec.floatProb = 0.05;
+        spec.varProb = 0.2;
+        spec.sharedVarProb = 0.3;
+        spec.seed = seed;
+        workload::KbGenerator kbgen(sym);
+        term::Program program = kbgen.generate(spec);
+        PredicateStore store(sym, scw::CodewordGenerator{});
+        store.addProgram(program);
+        store.finalize();
+
+        workload::QuerySpec qspec;
+        qspec.boundArgProb = 0.5;
+        qspec.sharedVarProb = 0.3;
+        qspec.seed = seed + 1;
+        workload::QueryGenerator qgen(sym, qspec);
+        for (int i = 0; i < 12; ++i) {
+            const term::PredicateId &pred =
+                program.predicates()[i % program.predicates().size()];
+            workload::GeneratedQuery q = qgen.generate(program, pred);
+            expectHeadsMatchOracle(sym, store, q.arena, q.goal);
+        }
+    }
+}
+
+TEST_F(CrsTest, BoundaryHeadsMatchParseThenWouldUnify)
+{
+    // Integers just inside and outside the 29-bit inline cell range,
+    // at the edge of the 36-bit PIF range, floats, anonymous and
+    // repeated variables, partial lists, nesting, and arity > 31.
+    std::string wide_args;
+    std::string wide_vars;
+    for (int i = 0; i < 40; ++i) {
+        wide_args += (i ? ", " : "") + std::string(i % 3 ? "k" : "V") +
+                     std::to_string(i);
+        wide_vars += (i ? ", " : "") + std::string("_");
+    }
+    buildStore("b(268435455, 268435456).\n"
+               "b(-268435456, -268435457).\n"
+               "b(34359738367, -34359738368).\n"
+               "b(1.5, -0.25).\n"
+               "b(_, _).\n"
+               "b(X, X).\n"
+               "b([a, b | T], T).\n"
+               "b([a, b], [c]).\n"
+               "b(f(g(h(X)), [X | Y]), Y).\n"
+               "b(f(g(h(1)), [2]), z).\n"
+               "w(" + wide_args + ").\n"
+               "w(" + wide_vars + ").\n");
+    const std::vector<std::string> goals = {
+        "b(268435455, X)", "b(X, 268435456)", "b(-268435457, X)",
+        "b(X, -268435456)", "b(34359738367, Y)", "b(Y, -34359738368)",
+        "b(1.5, X)", "b(X, -0.25)", "b(X, Y)", "b(X, X)", "b(_, _)",
+        "b([a | R], S)", "b([a, b, c], Z)", "b([A, B | C], C)",
+        "b(f(g(h(1)), L), M)", "b(f(g(h(Q)), [2]), Q)", "b(z, z)",
+        "w(" + wide_vars + ")", "w(V0" + wide_vars.substr(1) + ")",
+        "w(k0" + wide_vars.substr(1) + ")",
+    };
+    for (const std::string &text : goals) {
+        SCOPED_TRACE(text);
+        term::ParsedTerm goal = reader.parseTerm(text);
+        expectHeadsMatchOracle(sym, *store, goal.arena, goal.root);
+
+        // End to end: every mode's answers are exactly the oracle's.
+        term::PredicateId pred{goal.arena.functor(goal.root),
+                               goal.arena.arity(goal.root)};
+        const StoredPredicate &stored = store->predicate(pred);
+        std::vector<std::uint32_t> expect;
+        for (std::uint32_t i = 0; i < stored.clauses.clauseCount(); ++i)
+            if (unify::wouldUnify(goal.arena, goal.root,
+                                  reader.parseClause(
+                                      stored.clauses.sourceText(i))))
+                expect.push_back(i);
+        for (SearchMode mode : {SearchMode::SoftwareOnly,
+                                SearchMode::Fs1Only, SearchMode::Fs2Only,
+                                SearchMode::TwoStage})
+            EXPECT_EQ(retrieve(text, mode).answers, expect)
+                << searchModeName(mode);
+    }
+}
+
+/** Heads this server has parsed into decoded-head stores so far. */
+std::uint64_t
+headsDecoded(ClauseRetrievalServer &server)
+{
+    return server.metrics().counter("crs.host_unify.decoded").value();
+}
+
+TEST_F(CrsTest, ReservingAGoalDecodesNothingNew)
+{
+    workload::KbSpec spec;
+    spec.predicates = 2;
+    spec.clausesPerPredicate = 200;
+    spec.arityMin = spec.arityMax = 2;
+    spec.varProb = 0.1;
+    spec.seed = 5;
+    workload::KbGenerator kbgen(sym);
+    term::Program program = kbgen.generate(spec);
+    store = std::make_unique<PredicateStore>(sym, scw::CodewordGenerator{});
+    store->addProgram(program);
+    store->finalize();
+    server = std::make_unique<ClauseRetrievalServer>(sym, *store);
+
+    workload::QuerySpec qspec;
+    qspec.seed = 8;
+    workload::QueryGenerator qgen(sym, qspec);
+    std::map<term::PredicateId, std::set<std::uint32_t>> touched;
+    std::uint64_t expect = 0;
+    for (int i = 0; i < 10; ++i) {
+        const term::PredicateId &pred = program.predicates()[i % 2];
+        workload::GeneratedQuery q = qgen.generate(program, pred);
+        RetrievalRequest request;
+        request.arena = &q.arena;
+        request.goal = q.goal;
+        RetrievalResponse first = server->serve(request);
+        for (std::uint32_t c : first.candidates)
+            expect += touched[pred].insert(c).second ? 1 : 0;
+        // Each head is parsed the first time it is a candidate, never
+        // again: the replay decodes nothing and answers identically.
+        EXPECT_EQ(headsDecoded(*server), expect) << "goal " << i;
+        RetrievalResponse again = server->serve(request);
+        EXPECT_EQ(headsDecoded(*server), expect) << "goal " << i;
+        EXPECT_EQ(again.answers, first.answers);
+        EXPECT_EQ(again.elapsed, first.elapsed);
+    }
+    EXPECT_GT(expect, 0u);
+}
+
+TEST_F(CrsTest, LiveCommitVersionDecodesOnlyWhatItServes)
+{
+    std::string text;
+    for (int i = 0; i < 60; ++i)
+        text += "edge(n" + std::to_string(i % 7) + ", m" +
+                std::to_string(i) + ").\n";
+    buildStore(text);
+    const std::string wal_path =
+        ::testing::TempDir() + "decoded_heads_live.wal";
+    std::remove(wal_path.c_str());
+    LiveStore live(*store, sym, wal_path);
+    live.attachSink(server.get());
+
+    RetrievalResponse base = retrieve("edge(n3, X)", SearchMode::TwoStage);
+    ASSERT_FALSE(base.candidates.empty());
+    EXPECT_EQ(headsDecoded(*server), base.candidates.size());
+
+    live.assertz(reader.parseClause("edge(n3, fresh)."));
+    // The new version starts with no decoded heads: it parses exactly
+    // the candidates it serves, not the whole predicate.
+    std::uint64_t before = headsDecoded(*server);
+    RetrievalResponse head = retrieve("edge(n3, X)", SearchMode::TwoStage);
+    EXPECT_EQ(head.candidates.size(), base.candidates.size() + 1);
+    EXPECT_EQ(headsDecoded(*server) - before, head.candidates.size());
+    EXPECT_LT(head.candidates.size(), 61u);
+    EXPECT_EQ(head.answers.back(), 60u);
+
+    before = headsDecoded(*server);
+    retrieve("edge(n3, X)", SearchMode::TwoStage);
+    term::ParsedTerm goal = reader.parseTerm("edge(n3, X)");
+    RetrievalRequest pinned;
+    pinned.arena = &goal.arena;
+    pinned.goal = goal.root;
+    pinned.mode = SearchMode::TwoStage;
+    pinned.snapshot = 0;
+    EXPECT_EQ(server->serve(pinned).answers, base.answers);
+    EXPECT_EQ(headsDecoded(*server), before)
+        << "both versions were already decoded";
+    std::remove(wal_path.c_str());
 }
 
 TEST(LockManagerTest, SharedLocksCoexist)

@@ -15,6 +15,10 @@
  * exercises damaged planes; when a damaged store loads anyway, its
  * plane-backed scans must still answer exactly.
  *
+ * The decoded-head fuzz stores random clause heads and checks that
+ * host unification against their cell images answers exactly what
+ * parsing each clause's source text and calling wouldUnify answers.
+ *
  * The sliced-oracle fuzz drives the word-parallel SlicedMatcher, on
  * every block kernel the host supports, against the structural
  * PlaMatcher over random generator geometries, arities (including past
@@ -44,6 +48,7 @@
 #include "storage/file_io.hh"
 #include "support/fault_injector.hh"
 #include "support/random.hh"
+#include "term/cell_image.hh"
 #include "term/term_reader.hh"
 #include "term/term_writer.hh"
 #include "unify/oracle.hh"
@@ -235,6 +240,68 @@ TEST_P(FuzzRoundTrip, ClauseSourceTextReparses)
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzRoundTrip,
                          ::testing::Values(1u, 2u, 3u, 12345u,
                                            0xdeadbeefu));
+
+// ---------------------------------------------------------------------
+// Decoded heads: host unification against a version's cell images must
+// answer exactly what parse-then-wouldUnify answers, clause by clause.
+// ---------------------------------------------------------------------
+
+class HeadDecodeFuzz : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(HeadDecodeFuzz, DecodedHeadsUnifyLikeTheOracle)
+{
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    TermFuzzer fuzzer(sym, GetParam() * 7919 + 5);
+    const term::SymbolId h = sym.intern("h");
+
+    term::Program program;
+    for (int i = 0; i < 80; ++i) {
+        term::TermArena arena;
+        term::TermRef args[] = {fuzzer.generate(arena),
+                                fuzzer.generate(arena)};
+        term::TermRef head = arena.makeStruct(h, args);
+        term::Clause clause(std::move(arena), head, {});
+
+        // The cell image alone rebuilds the head.
+        std::vector<term::Cell> cells;
+        term::encodeCells(clause.arena(), clause.head(), cells);
+        term::TermArena back;
+        term::TermRef root = term::decodeCells(back, cells.data(), 0);
+        EXPECT_TRUE(term::TermArena::equal(clause.arena(), clause.head(),
+                                           back, root));
+        program.add(std::move(clause));
+    }
+    crs::PredicateStore store(sym, scw::CodewordGenerator{});
+    store.addProgram(program);
+    store.finalize();
+    const crs::StoredPredicate &stored =
+        store.predicate(term::PredicateId{h, 2});
+
+    std::size_t hits = 0;
+    for (int g = 0; g < 40; ++g) {
+        term::TermArena q;
+        term::TermRef args[] = {fuzzer.generate(q, 1),
+                                fuzzer.generate(q, 1)};
+        term::TermRef goal = q.makeStruct(h, args);
+        crs::HeadUnifier unifier(stored, sym, q, goal);
+        for (std::uint32_t i = 0; i < stored.clauses.clauseCount(); ++i) {
+            bool expect = unify::wouldUnify(
+                q, goal, reader.parseClause(stored.clauses.sourceText(i)));
+            EXPECT_EQ(unifier.unifies(i), expect)
+                << "goal " << g << " clause "
+                << stored.clauses.sourceText(i);
+            hits += expect ? 1 : 0;
+        }
+    }
+    // Shared variables and atoms make some pairs unify.
+    EXPECT_GT(hits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HeadDecodeFuzz,
+                         ::testing::Values(1u, 2u, 3u, 99u, 0xfeedu));
 
 // ---------------------------------------------------------------------
 // Store corruption and injected-fault sweeps.

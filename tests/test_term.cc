@@ -1,11 +1,17 @@
 /**
  * @file
- * Unit tests for the symbol table, term arena, clauses and programs.
+ * Unit tests for the symbol table, term arena, cell images, clauses
+ * and programs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "support/logging.hh"
+#include "term/cell_image.hh"
 #include "term/clause.hh"
 #include "term/symbol_table.hh"
 #include "term/term.hh"
@@ -267,6 +273,176 @@ TEST(Program, UnknownPredicateHasNoClauses)
     Program prog;
     EXPECT_TRUE(prog.clausesOf(PredicateId{sym.intern("none"), 3})
                     .empty());
+}
+
+// ---------------------------------------------------------------------
+// Cell images: encode -> decode rebuilds the same term.
+// ---------------------------------------------------------------------
+
+/** Encode @p t, decode it into a fresh arena, return the cells used. */
+std::vector<Cell>
+roundTrip(const TermArena &arena, TermRef t, VarId offset,
+          TermArena &out, TermRef &back)
+{
+    std::vector<Cell> cells;
+    encodeCells(arena, t, cells);
+    back = decodeCells(out, cells.data(), offset);
+    return cells;
+}
+
+TEST(CellImage, IntegersAroundTheInlineAndPifRanges)
+{
+    const std::int64_t kInline = std::int64_t{1} << 28;
+    const std::int64_t kPif = std::int64_t{1} << 35;
+    struct Case
+    {
+        std::int64_t value;
+        std::size_t cells;
+    };
+    const Case cases[] = {
+        {0, 1}, {1, 1}, {-1, 1},
+        {kInline - 1, 1}, {kInline, 3},
+        {-kInline, 1}, {-kInline - 1, 3},
+        {kPif - 1, 3}, {kPif, 3}, {-kPif, 3}, {-kPif - 1, 3},
+        {std::numeric_limits<std::int64_t>::max(), 3},
+        {std::numeric_limits<std::int64_t>::min(), 3},
+    };
+    for (const Case &c : cases) {
+        TermArena arena;
+        TermRef t = arena.makeInt(c.value);
+        TermArena out;
+        TermRef back;
+        std::vector<Cell> cells = roundTrip(arena, t, 0, out, back);
+        EXPECT_EQ(cells.size(), c.cells) << c.value;
+        ASSERT_EQ(out.kind(back), TermKind::Int);
+        EXPECT_EQ(out.intValue(back), c.value);
+    }
+}
+
+TEST(CellImage, LeavesAndWideIds)
+{
+    SymbolTable sym;
+    TermArena arena;
+    std::vector<TermRef> leaves = {
+        arena.makeAtom(sym.intern("a")),
+        arena.makeAtom(SymbolTable::kNil),
+        arena.makeFloat(sym.internFloat(-2.5)),
+        arena.makeFloat(sym.internFloat(1e300)),
+        // Ids past the inline 29-bit field take the Wide form.
+        arena.makeAtom((1u << 29) - 1),
+        arena.makeAtom(1u << 29),
+        arena.makeFloat(0xfffffff0u),
+        arena.makeVar((1u << 29) + 7),
+    };
+    const std::size_t expect_cells[] = {1, 1, 1, 1, 1, 2, 2, 2};
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+        TermArena out;
+        TermRef back;
+        std::vector<Cell> cells = roundTrip(arena, leaves[i], 0, out,
+                                            back);
+        EXPECT_EQ(cells.size(), expect_cells[i]) << "leaf " << i;
+        EXPECT_TRUE(TermArena::equal(arena, leaves[i], out, back))
+            << "leaf " << i;
+    }
+}
+
+TEST(CellImage, VariablesAreOffsetAndNameless)
+{
+    SymbolTable sym;
+    TermArena arena;
+    // p(X, _, X, Y): a repeated variable, an anonymous one, a fresh one.
+    TermRef args[] = {arena.makeVar(0, sym.intern("X")),
+                      arena.makeVar(1),
+                      arena.makeVar(0, sym.intern("X")),
+                      arena.makeVar(2, sym.intern("Y"))};
+    TermRef p = arena.makeStruct(sym.intern("p"), args);
+    for (VarId offset : {0u, 5u, 1000u}) {
+        TermArena out;
+        TermRef back;
+        std::vector<Cell> cells = roundTrip(arena, p, offset, out, back);
+        EXPECT_EQ(cells.size(), 5u);
+        TermArena expect;
+        TermRef e = expect.import(arena, p, offset);
+        EXPECT_TRUE(TermArena::equal(expect, e, out, back));
+        EXPECT_EQ(out.varId(out.arg(back, 0)), out.varId(out.arg(back, 2)));
+        EXPECT_EQ(out.varCeiling(), offset + 3);
+        for (std::uint32_t i = 0; i < 4; ++i)
+            EXPECT_TRUE(out.isAnonymous(out.arg(back, i)));
+    }
+}
+
+TEST(CellImage, ListsNestingAndWideStructures)
+{
+    SymbolTable sym;
+    TermArena arena;
+    TermRef a = arena.makeAtom(sym.intern("a"));
+    TermRef b = arena.makeInt(-7);
+    TermRef tail = arena.makeVar(3, sym.intern("T"));
+    TermRef ab[] = {a, b};
+    TermRef partial = arena.makeList(ab, tail);          // [a, -7 | T]
+    TermRef proper = arena.makeList(ab);                 // [a, -7]
+    TermRef inner = arena.makeStruct(sym.intern("h"), std::span(&partial, 1));
+    TermRef mid[] = {inner, proper};
+    TermRef nested = arena.makeStruct(sym.intern("g"), mid);
+    TermRef nest1[] = {nested, arena.makeFloat(sym.internFloat(0.5))};
+    TermRef deep = arena.makeStruct(sym.intern("f"), nest1);
+
+    // Arity 31 still packs into one cell; 32 and past take Wide.
+    std::vector<TermRef> many;
+    for (int i = 0; i < 40; ++i)
+        many.push_back(i % 2 ? a : arena.makeVar(static_cast<VarId>(i)));
+    TermRef arity31 = arena.makeStruct(sym.intern("w"),
+                                       std::span(many.data(), 31));
+    TermRef arity32 = arena.makeStruct(sym.intern("w"),
+                                       std::span(many.data(), 32));
+    TermRef arity40 = arena.makeStruct(sym.intern("w"), many);
+    TermRef wide_functor = arena.makeStruct(1u << 24, std::span(&a, 1));
+
+    struct Case
+    {
+        TermRef t;
+        std::size_t cells;
+    };
+    const Case cases[] = {
+        {partial, 4}, {proper, 3}, {deep, 11},
+        {arity31, 32}, {arity32, 35}, {arity40, 43},
+        {wide_functor, 4},
+    };
+    for (const Case &c : cases) {
+        for (VarId offset : {0u, 9u}) {
+            TermArena out;
+            TermRef back;
+            std::vector<Cell> cells = roundTrip(arena, c.t, offset, out,
+                                                back);
+            EXPECT_EQ(cells.size(), c.cells) << "term " << c.t;
+            TermArena expect;
+            TermRef e = expect.import(arena, c.t, offset);
+            EXPECT_TRUE(TermArena::equal(expect, e, out, back))
+                << "term " << c.t << " offset " << offset;
+        }
+    }
+}
+
+TEST(CellImage, DecodeAppendsBesideExistingNodes)
+{
+    SymbolTable sym;
+    TermArena arena;
+    TermRef x = arena.makeVar(0, sym.intern("X"));
+    TermRef pair[] = {x, arena.makeAtom(sym.intern("b"))};
+    TermRef lst = arena.makeList(pair);
+    TermRef s = arena.makeStruct(sym.intern("s"), std::span(&lst, 1));
+    std::vector<Cell> cells;
+    encodeCells(arena, s, cells);
+
+    // Decoding twice into one arena leaves both copies intact.
+    TermArena out;
+    TermRef first = decodeCells(out, cells.data(), 0);
+    TermRef second = decodeCells(out, cells.data(), 1);
+    TermArena expect;
+    TermRef e0 = expect.import(arena, s, 0);
+    TermRef e1 = expect.import(arena, s, 1);
+    EXPECT_TRUE(TermArena::equal(expect, e0, out, first));
+    EXPECT_TRUE(TermArena::equal(expect, e1, out, second));
 }
 
 } // namespace
