@@ -2,9 +2,10 @@
 # Tier-1 verification: the canonical build + full test suite, then the
 # fault-injection/corruption suites again under ASan+UBSan so the
 # error paths are proven free of undefined behavior, not just of
-# wrong answers, the cache-hierarchy and concurrency suites again
-# under TSan so the shared L1/L2/L3 caches, the batch pipeline and the
-# shared symbol table are proven free of data races, and the
+# wrong answers, the cache-hierarchy, concurrency, network and
+# observability suites again under TSan so the shared L1/L2/L3 caches,
+# the batch pipeline, the shared symbol table, the router's threads and
+# the metrics registry are proven free of data races, and the
 # bit-sliced equivalence suite again under ASan so the word-indexed
 # plane arithmetic (edge-masked partial ranges in particular) is
 # proven in-bounds, and finally the oracle-equivalence suites under
@@ -95,6 +96,13 @@ echo "== tier-1: TSan build + tsan-labeled tests =="
 # parsed through the shared symbol table on first touch) racing a
 # writer that interns fresh atoms.
 ctest --test-dir "$TSAN_BUILD" -L tsan --output-on-failure -j
+
+echo "== tier-1: TSan build + net- and obs-labeled tests =="
+# The router's probe thread and its sub-batch fan-out threads share
+# backend state and metrics descriptor slots with the event loop; the
+# observability suite first-touches instruments from a thread pool.
+# (test_arena carries the net label too and already ran above.)
+ctest --test-dir "$TSAN_BUILD" -L 'net|obs' -LE arena --output-on-failure -j
 
 echo "== tier-1: loopback cluster smoke (replicated + sharded) =="
 # Boots a 3-replica clare_server cluster (one backend fault-poisoned)

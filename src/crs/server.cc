@@ -21,6 +21,8 @@ using term::TermRef;
 
 namespace {
 
+constexpr double kTicksPerUs = static_cast<double>(kMicrosecond);
+
 /** Bucket bounds shared by the server's latency histograms (us). */
 std::vector<double>
 latencyBoundsUs()
@@ -28,7 +30,60 @@ latencyBoundsUs()
     return obs::Histogram::exponential(1.0, 10.0, 9);
 }
 
-constexpr double kTicksPerUs = static_cast<double>(kMicrosecond);
+const obs::GaugeDef kWorkers{"crs.workers", "configured pipeline width"};
+const obs::CounterDef kCacheHits{"crs.cache.hits", "L3 goal-cache hits"};
+const obs::CounterDef kCacheMisses{"crs.cache.misses",
+                                   "L3 goal-cache misses"};
+const obs::CounterDef kCacheEvictions{"crs.cache.evictions",
+                                      "L3 entries displaced by capacity"};
+const obs::CounterDef kCacheInvalidations{
+    "crs.cache.invalidations", "L3 entries dropped by committed writes"};
+const obs::CounterDef kHostUnifyClauses{
+    "crs.host_unify_clauses", "candidates fully unified on the host"};
+const obs::CounterDef kHeadsDecoded{
+    "crs.host_unify.decoded",
+    "clause heads parsed into a version's decoded-head store"};
+const obs::CounterDef kBatches{"crs.batches", "serveBatch() calls"};
+const obs::GaugeDef kLastBatchSize{"crs.last_batch_size",
+                                   "requests in the most recent batch"};
+const obs::CounterDef kRereadPages{
+    "disk.retry.reread_pages",
+    "data pages re-read after checksum failures"};
+const std::array<obs::CounterDef, unify::kTueOpCount> kFs2Ops =
+    obs::counterFamily<unify::kTueOpCount>(
+        "fs2.op.",
+        [](std::size_t o) {
+            return unify::tueOpName(static_cast<unify::TueOp>(o));
+        },
+        "TUE datapath operations (Table 1)");
+const obs::CounterDef kQueries{"crs.queries", "retrievals served"};
+const obs::CounterDef kCandidates{"crs.candidates",
+                                  "candidates across all retrievals"};
+const obs::CounterDef kAnswers{"crs.answers",
+                               "answers across all retrievals"};
+const obs::CounterDef kFalseDrops{
+    "crs.false_drops", "candidates rejected by full unification"};
+const std::array<obs::CounterDef, kSearchModeCount> kModes =
+    obs::counterFamily<kSearchModeCount>(
+        "crs.mode.",
+        [](std::size_t m) {
+            return searchModeSlug(static_cast<SearchMode>(m));
+        },
+        "retrievals served in this mode");
+const obs::CounterDef kDegradedQueries{
+    "crs.degraded.queries", "retrievals downgraded to a full scan"};
+const obs::CounterDef kCorruptIndexPages{
+    "crs.degraded.corrupt_index_pages",
+    "index pages that failed their CRC check"};
+const obs::HistogramDef kElapsed{"crs.elapsed_us", latencyBoundsUs(),
+                                 "retrieval latency, simulated us"};
+const obs::HistogramDef kQueueWait{
+    "crs.queue_wait_us", latencyBoundsUs(),
+    "batch pipeline queue wait, simulated us"};
+const obs::GaugeDef kHeapAllocs{
+    "process.heap_allocs",
+    "heap allocations since process start "
+    "(-DCLARE_COUNT_ALLOCS=ON interpose)"};
 
 } // namespace
 
@@ -65,8 +120,7 @@ ClauseRetrievalServer::ClauseRetrievalServer(term::SymbolTable &symbols,
             : std::min(config_.workers, cores);
         scanAhead_ = scanShards_;
     }
-    metrics_.gauge("crs.workers", "configured pipeline width")
-        .set(config_.workers);
+    metrics_.gauge(kWorkers).set(config_.workers);
     // L2/L3 exist only when asked for AND no fault oracle is armed: a
     // response whose bytes were exposed to injected faults (or whose
     // index read might degrade) must never be replayed from cache.
@@ -387,7 +441,7 @@ ClauseRetrievalServer::serveGoalHit(const GoalCache::Entry &cached,
     // the cached encoding verbatim (id patched per request).
     response = cached.response;
     response.replayBlob = cached.blob;
-    ++*hotCounter(hot_.cacheHits, "crs.cache.hits", "L3 goal-cache hits");
+    ++metrics_.counter(kCacheHits);
 }
 
 void
@@ -412,8 +466,7 @@ ClauseRetrievalServer::maybeCacheGoal(const std::string &goal_key,
     hit.elapsed = hit.breakdown.serviceTime();
     hit.traceSpan = 0;
     if (goalCache_->put(goal_key, pred, std::move(hit)))
-        ++metrics_.counter("crs.cache.evictions",
-                           "L3 entries displaced by capacity");
+        ++metrics_.counter(kCacheEvictions);
 }
 
 void
@@ -429,9 +482,7 @@ ClauseRetrievalServer::invalidatePredicate(const term::PredicateId &pred)
         std::lock_guard<std::mutex> lock(generationMutex_);
         ++indexGeneration_[pred];
     }
-    metrics_.counter("crs.cache.invalidations",
-                     "L3 entries dropped by committed writes") +=
-        removed;
+    metrics_.counter(kCacheInvalidations) += removed;
 }
 
 void
@@ -466,24 +517,8 @@ ClauseRetrievalServer::hostUnify(const StoredPredicate &stored,
     response.breakdown.hostUnifyTime = config_.host.perCandidateUnify *
         response.candidates.size();
 
-    *hotCounter(hot_.hostUnifyClauses, "crs.host_unify_clauses",
-                "candidates fully unified on the host") +=
-        response.candidates.size();
-    *hotCounter(hot_.headsDecoded, "crs.host_unify.decoded",
-                "clause heads parsed into a version's decoded-head "
-                "store") += unifier.decoded();
-}
-
-obs::Counter *
-ClauseRetrievalServer::hotCounter(std::atomic<obs::Counter *> &slot,
-                                  const char *name, const char *help)
-{
-    obs::Counter *c = slot.load(std::memory_order_acquire);
-    if (c == nullptr) {
-        c = &metrics_.counter(name, help);
-        slot.store(c, std::memory_order_release);
-    }
-    return c;
+    metrics_.counter(kHostUnifyClauses) += response.candidates.size();
+    metrics_.counter(kHeadsDecoded) += unifier.decoded();
 }
 
 // ---------------------------------------------------------------------
@@ -529,8 +564,7 @@ ClauseRetrievalServer::serve(const RetrievalRequest &request)
             accountQuery(response, root);
             return response;
         }
-        ++*hotCounter(hot_.cacheMisses, "crs.cache.misses",
-                      "L3 goal-cache misses");
+        ++metrics_.counter(kCacheMisses);
     }
 
     IndexScan scan;
@@ -558,9 +592,8 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
     if (n == 0)
         return out;
 
-    ++metrics_.counter("crs.batches", "serveBatch() calls");
-    metrics_.gauge("crs.last_batch_size", "requests in the most recent "
-                   "batch").set(static_cast<double>(n));
+    ++metrics_.counter(kBatches);
+    metrics_.gauge(kLastBatchSize).set(static_cast<double>(n));
 
     // Resolve modes and predicates up front (cheap, read-only) so the
     // pipeline stages below are pure scan/filter work.  Each request
@@ -743,8 +776,7 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
                 serveGoalHit(*cached, out[i]);
                 goal_hit = true;
             } else {
-                ++*hotCounter(hot_.cacheMisses, "crs.cache.misses",
-                              "L3 goal-cache misses");
+                ++metrics_.counter(kCacheMisses);
                 if (usesFs1(modes[i])) {
                     if (!sigs[i]) {
                         // Mispredicted L3 hit: the preprocess pass
@@ -1121,15 +1153,11 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
             stages.filterTime += penalty;
             if (obs.metrics != nullptr) {
                 if (rf.retries > 0)
-                    obs.metrics->counter(
-                        "disk.retry.attempts",
-                        "chunk re-reads after transient errors") +=
+                    obs.metrics->counter(storage::kRetryAttempts) +=
                         rf.retries;
                 if (rf.corruptChunks > 0)
-                    obs.metrics->counter(
-                        "disk.retry.reread_pages",
-                        "data pages re-read after checksum "
-                        "failures") += rf.corruptChunks;
+                    obs.metrics->counter(kRereadPages) +=
+                        rf.corruptChunks;
             }
             if (penalty > 0) {
                 obs::ScopedSpan span(obs.tracer, "disk.fault_recovery",
@@ -1145,19 +1173,9 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
 
     // Table 1's operation mix, as cumulative per-op counters.
     if (mode == SearchMode::Fs2Only || mode == SearchMode::TwoStage) {
-        for (std::size_t o = 0; o < unify::kTueOpCount; ++o) {
-            if (response.filterOps[o] == 0)
-                continue;
-            obs::Counter *c = hot_.fs2Ops[o].load(std::memory_order_acquire);
-            if (c == nullptr) {
-                c = &metrics_.counter(
-                    std::string("fs2.op.") +
-                        unify::tueOpName(static_cast<unify::TueOp>(o)),
-                    "TUE datapath operations (Table 1)");
-                hot_.fs2Ops[o].store(c, std::memory_order_release);
-            }
-            *c += response.filterOps[o];
-        }
+        for (std::size_t o = 0; o < unify::kTueOpCount; ++o)
+            if (response.filterOps[o] != 0)
+                metrics_.counter(kFs2Ops[o]) += response.filterOps[o];
     }
 
     {
@@ -1178,85 +1196,30 @@ void
 ClauseRetrievalServer::accountQuery(RetrievalResponse &response,
                                     obs::ScopedSpan &root)
 {
-    // Instruments resolve once into hot_ (see HotMetrics): building
-    // the name/description strings per request would by itself sink
-    // the warm path's near-zero allocation budget.
-    obs::Counter *queries = hot_.queries.load(std::memory_order_acquire);
-    if (queries == nullptr) {
-        queries = &metrics_.counter("crs.queries", "retrievals served");
-        hot_.candidates.store(
-            &metrics_.counter("crs.candidates",
-                              "candidates across all retrievals"), std::memory_order_release);
-        hot_.answers.store(
-            &metrics_.counter("crs.answers",
-                              "answers across all retrievals"), std::memory_order_release);
-        hot_.falseDrops.store(
-            &metrics_.counter("crs.false_drops",
-                              "candidates rejected by full unification"), std::memory_order_release);
-        hot_.queries.store(queries, std::memory_order_release);
-    }
-    ++*queries;
-    // The sibling slots were published (at the latest) by the racer
-    // that stored queries; the registry returns the same instrument
-    // to every thread, so a stale nullptr just re-registers.
-    *hot_.candidates.load(std::memory_order_acquire) +=
-        response.candidates.size();
-    *hot_.answers.load(std::memory_order_acquire) +=
-        response.answers.size();
-    *hot_.falseDrops.load(std::memory_order_acquire) +=
-        response.falseDrops();
-    std::atomic<obs::Counter *> &mode_slot =
-        hot_.mode[static_cast<std::size_t>(response.mode)];
-    obs::Counter *mode_counter = mode_slot.load(std::memory_order_acquire);
-    if (mode_counter == nullptr) {
-        mode_counter = &metrics_.counter(
-            std::string("crs.mode.") + searchModeSlug(response.mode),
-            "retrievals served in this mode");
-        mode_slot.store(mode_counter, std::memory_order_release);
-    }
-    ++*mode_counter;
+    ++metrics_.counter(kQueries);
+    metrics_.counter(kCandidates) += response.candidates.size();
+    metrics_.counter(kAnswers) += response.answers.size();
+    metrics_.counter(kFalseDrops) += response.falseDrops();
+    ++metrics_.counter(kModes[static_cast<std::size_t>(response.mode)]);
     // Degradation counters exist only once a query degrades, so a
     // clean run's metrics dump is bit-identical to a fault-free build.
     if (response.degraded) {
-        ++metrics_.counter("crs.degraded.queries",
-                           "retrievals downgraded to a full scan");
-        metrics_.counter("crs.degraded.corrupt_index_pages",
-                         "index pages that failed their CRC check") +=
-            response.corruptIndexPages;
+        ++metrics_.counter(kDegradedQueries);
+        metrics_.counter(kCorruptIndexPages) += response.corruptIndexPages;
     }
-    obs::Histogram *elapsed = hot_.elapsed.load(std::memory_order_acquire);
-    if (elapsed == nullptr) {
-        elapsed = &metrics_.histogram("crs.elapsed_us", latencyBoundsUs(),
-                                      "retrieval latency, simulated us");
-        hot_.elapsed.store(elapsed, std::memory_order_release);
-    }
-    elapsed->record(static_cast<double>(response.elapsed) / kTicksPerUs);
-    if (response.breakdown.queueWait > 0) {
-        obs::Histogram *qw = hot_.queueWait.load(std::memory_order_acquire);
-        if (qw == nullptr) {
-            qw = &metrics_.histogram(
-                "crs.queue_wait_us", latencyBoundsUs(),
-                "batch pipeline queue wait, simulated us");
-            hot_.queueWait.store(qw, std::memory_order_release);
-        }
-        qw->record(static_cast<double>(response.breakdown.queueWait) /
-                   kTicksPerUs);
-    }
+    metrics_.histogram(kElapsed).record(
+        static_cast<double>(response.elapsed) / kTicksPerUs);
+    if (response.breakdown.queueWait > 0)
+        metrics_.histogram(kQueueWait).record(
+            static_cast<double>(response.breakdown.queueWait) /
+            kTicksPerUs);
     // Surface the operator-new interpose through the registry so a
     // metrics dump carries the allocation story next to the latency
     // one.  Registered only when the hook is live: other builds keep
     // their dumps byte-identical to pre-interpose binaries.
-    if (support::allocCountingEnabled()) {
-        obs::Gauge *heap = hot_.heapAllocs.load(std::memory_order_acquire);
-        if (heap == nullptr) {
-            heap = &metrics_.gauge(
-                "process.heap_allocs",
-                "heap allocations since process start "
-                "(-DCLARE_COUNT_ALLOCS=ON interpose)");
-            hot_.heapAllocs.store(heap, std::memory_order_release);
-        }
-        heap->set(static_cast<double>(support::allocationCount()));
-    }
+    if (support::allocCountingEnabled())
+        metrics_.gauge(kHeapAllocs).set(
+            static_cast<double>(support::allocationCount()));
 
     if (root.active()) {
         response.traceSpan = root.id();

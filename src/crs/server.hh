@@ -39,8 +39,6 @@
 #ifndef CLARE_CRS_SERVER_HH
 #define CLARE_CRS_SERVER_HH
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -265,9 +263,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
 
     const CrsConfig &config() const { return config_; }
 
-    /** Cumulative FS1 statistics across this server's retrievals. */
-    StatGroup &fs1Stats() { return fs1_.stats(); }
-
     /** Spans recorded for requests with TraceOptions::enabled. */
     obs::Tracer &tracer() { return tracer_; }
     const obs::Tracer &tracer() const { return tracer_; }
@@ -321,41 +316,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
 
     obs::Tracer tracer_;
     obs::MetricsRegistry metrics_;
-
-    /**
-     * Hot-path instruments, cached as pointers so steady-state
-     * requests hit the registry without rebuilding name/description
-     * strings (the zero-copy serving path counts its allocations —
-     * a string temporary per counter would dominate a warm hit).
-     * Each slot fills lazily on its first use, so registration order
-     * — and thus a metrics dump — is identical to uncached lookups:
-     * per-mode counters and the queue-wait histogram still appear
-     * only once a request actually exercises them.  Slots are atomics
-     * with release-store/acquire-load publication: concurrent serve()
-     * calls may race the first fill, the registry hands every racer
-     * the same instrument (so whichever store lands last wrote the
-     * same value), and the acquire edge makes the instrument's
-     * construction visible to the thread that merely loaded the
-     * pointer.
-     */
-    struct HotMetrics
-    {
-        std::atomic<obs::Counter *> queries{nullptr};
-        std::atomic<obs::Counter *> candidates{nullptr};
-        std::atomic<obs::Counter *> answers{nullptr};
-        std::atomic<obs::Counter *> falseDrops{nullptr};
-        std::atomic<obs::Counter *> cacheHits{nullptr};
-        std::atomic<obs::Counter *> cacheMisses{nullptr};
-        std::array<std::atomic<obs::Counter *>, kSearchModeCount> mode{};
-        std::atomic<obs::Histogram *> elapsed{nullptr};
-        std::atomic<obs::Histogram *> queueWait{nullptr};
-        std::atomic<obs::Gauge *> heapAllocs{nullptr};
-        std::array<std::atomic<obs::Counter *>, unify::kTueOpCount>
-            fs2Ops{};
-        std::atomic<obs::Counter *> hostUnifyClauses{nullptr};
-        std::atomic<obs::Counter *> headsDecoded{nullptr};
-    };
-    HotMetrics hot_;
 
     // ----- Cache hierarchy (all null when cache.enabled is false, or
     // when a fault oracle is armed — fault-touched results must never
@@ -500,10 +460,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     void hostUnify(const StoredPredicate &stored,
                    const term::TermArena &q_arena, term::TermRef goal,
                    RetrievalResponse &response);
-
-    /** Resolve a HotMetrics counter slot on first use. */
-    obs::Counter *hotCounter(std::atomic<obs::Counter *> &slot,
-                             const char *name, const char *help);
 
     /** Per-query metrics + root-span finalization (both paths). */
     void accountQuery(RetrievalResponse &response, obs::ScopedSpan &root);

@@ -12,6 +12,21 @@ namespace clare::fs1 {
 
 namespace {
 
+const obs::CounterDef kSearches{"fs1.searches",
+                                "FS1 index scans performed"};
+const obs::CounterDef kEntriesScanned{"fs1.entries_scanned",
+                                      "index entries examined"};
+const obs::CounterDef kHits{"fs1.hits",
+                            "entries passing the codeword match"};
+const obs::CounterDef kBytesScanned{"fs1.bytes_scanned",
+                                    "secondary file bytes streamed"};
+const obs::CounterDef kWordOps{"fs1.sliced.word_ops",
+                               "64-bit plane operations in sliced scans"};
+const obs::CounterDef kBatches{"fs1.sliced.batches",
+                               "multi-query batch plane scans"};
+const obs::CounterDef kBatchQueries{
+    "fs1.sliced.batch_queries", "queries answered by batch plane scans"};
+
 /**
  * Every stored predicate carries a plane over its whole index (a live
  * version's base + delta pair goes through the split search), so a
@@ -124,35 +139,15 @@ Fs1Engine::merge(std::vector<ShardScan> shards,
     // conversion, so the per-shard span ticks sum to exactly this.
     result.busyTime = busyTicks(result.bytesScanned);
 
-    // One stats update per search, not per shard: workers accumulate
-    // into their ShardScan and the merge folds the totals in.
-    stats_.scalar("searches", "index scans performed") += 1;
-    stats_.scalar("entriesScanned", "index entries examined") +=
-        result.entriesScanned;
-    stats_.scalar("hits", "entries passing the codeword match") +=
-        result.ordinals.size();
-    stats_.scalar("bytesScanned", "secondary file bytes streamed") +=
-        result.bytesScanned;
-    stats_.scalar("slicedWordOps",
-                  "64-bit plane operations in sliced scans") += word_ops;
-
-    // Mirror the fold into the shared metrics registry (the StatGroup
-    // is per-engine; the registry aggregates across the pipeline).
+    // One metrics update per search, not per shard: workers
+    // accumulate into their ShardScan and the merge folds the totals
+    // into the registry, which aggregates across the pipeline.
     if (obs.metrics != nullptr) {
-        ++obs.metrics->counter("fs1.searches",
-                               "FS1 index scans performed");
-        obs.metrics->counter("fs1.entries_scanned",
-                             "index entries examined") +=
-            result.entriesScanned;
-        obs.metrics->counter("fs1.hits",
-                             "entries passing the codeword match") +=
-            result.ordinals.size();
-        obs.metrics->counter("fs1.bytes_scanned",
-                             "secondary file bytes streamed") +=
-            result.bytesScanned;
-        obs.metrics->counter("fs1.sliced.word_ops",
-                             "64-bit plane operations in sliced "
-                             "scans") += word_ops;
+        ++obs.metrics->counter(kSearches);
+        obs.metrics->counter(kEntriesScanned) += result.entriesScanned;
+        obs.metrics->counter(kHits) += result.ordinals.size();
+        obs.metrics->counter(kBytesScanned) += result.bytesScanned;
+        obs.metrics->counter(kWordOps) += word_ops;
     }
     return result;
 }
@@ -265,11 +260,8 @@ Fs1Engine::searchBatch(const scw::SecondaryFile &index,
     std::vector<SlicedMatcher::Hits> hits =
         matcher.scanBatch(*sliced, queries);
     if (observers[0].metrics != nullptr) {
-        ++observers[0].metrics->counter(
-            "fs1.sliced.batches", "multi-query batch plane scans");
-        observers[0].metrics->counter(
-            "fs1.sliced.batch_queries",
-            "queries answered by batch plane scans") += queries.size();
+        ++observers[0].metrics->counter(kBatches);
+        observers[0].metrics->counter(kBatchQueries) += queries.size();
     }
     for (std::size_t k = 0; k < queries.size(); ++k) {
         const obs::Observer &ob = observers[k];

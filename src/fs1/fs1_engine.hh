@@ -22,9 +22,9 @@
  * entry ranges that are matched concurrently on a worker pool, and the
  * per-shard hit lists are concatenated in shard order so the merged
  * result is bit-identical to the sequential scan.  Counters accumulate
- * per worker and fold into the engine's StatGroup once at merge time.
- * One engine may be shared by several threads: search() is logically
- * const and its statistics are thread-safe.
+ * per worker and fold into the observer's metrics registry once at
+ * merge time.  One engine may be shared by several threads: search()
+ * is const and the registry's counters are atomic.
  */
 
 #ifndef CLARE_FS1_FS1_ENGINE_HH
@@ -38,7 +38,6 @@
 #include "scw/index_file.hh"
 #include "support/obs.hh"
 #include "support/sim_time.hh"
-#include "support/stats.hh"
 #include "support/thread_pool.hh"
 
 namespace clare::fs1 {
@@ -157,9 +156,6 @@ class Fs1Engine
                 const std::vector<obs::Observer> &observers,
                 obs::SpanId parent = 0) const;
 
-    /** Cumulative statistics across searches. */
-    StatGroup &stats() { return stats_; }
-
   private:
     /** Hits and counters of one shard, merged in shard order. */
     struct ShardScan
@@ -200,7 +196,6 @@ class Fs1Engine
 
     scw::CodewordGenerator generator_;
     Fs1Config config_;
-    mutable StatGroup stats_{"fs1"};
 };
 
 } // namespace clare::fs1

@@ -2,6 +2,15 @@
 
 namespace clare::fs1 {
 
+namespace {
+
+const obs::CounterDef kSurvivorHits{
+    "fs1.cache.survivor_hits", "index scans replayed from the survivor memo"};
+const obs::CounterDef kSurvivorMisses{
+    "fs1.cache.survivor_misses", "index scans that ran the secondary file"};
+
+} // namespace
+
 SurvivorCache::SurvivorCache(std::size_t capacity) : cache_(capacity)
 {
 }
@@ -15,16 +24,8 @@ SurvivorCache::find(const std::string &key, const obs::Observer &obs)
         if (std::shared_ptr<const Fs1Result> *r = cache_.get(key))
             found = *r;
     }
-    if (obs.metrics != nullptr) {
-        if (found)
-            ++obs.metrics->counter("fs1.cache.survivor_hits",
-                                   "index scans replayed from the "
-                                   "survivor memo");
-        else
-            ++obs.metrics->counter("fs1.cache.survivor_misses",
-                                   "index scans that ran the secondary "
-                                   "file");
-    }
+    if (obs.metrics != nullptr)
+        ++obs.metrics->counter(found ? kSurvivorHits : kSurvivorMisses);
     return found;
 }
 

@@ -8,6 +8,26 @@ using storage::ClauseFile;
 using storage::ClauseRecord;
 using storage::DiskModel;
 
+namespace {
+
+const obs::CounterDef kSearches{"fs2.searches", "FS2 search-mode runs"};
+const obs::CounterDef kClausesExamined{
+    "fs2.clauses_examined", "clause records run through the TUE"};
+const obs::CounterDef kBytesStreamed{
+    "fs2.bytes_streamed", "clause bytes streamed through the Double Buffer"};
+const obs::CounterDef kAccepted{"fs2.accepted",
+                                "clauses passing the filter"};
+const obs::CounterDef kDbFills{"fs2.db.fills",
+                               "records admitted to the Double Buffer"};
+const obs::CounterDef kDbStallTicks{
+    "fs2.db.stall_ticks", "simulated ticks the engine waited on the disk"};
+const obs::CounterDef kDbOverruns{"fs2.db.overruns",
+                                  "deliveries that outran the filter"};
+const obs::CounterDef kMicroInstructions{
+    "fs2.micro_instructions", "WCS microinstructions executed"};
+
+} // namespace
+
 double
 Fs2SearchResult::filterRate() const
 {
@@ -202,27 +222,14 @@ Fs2Engine::runStream(const ClauseFile &file,
     }
     if (observer_.metrics != nullptr) {
         obs::MetricsRegistry &m = *observer_.metrics;
-        ++m.counter("fs2.searches", "FS2 search-mode runs");
-        m.counter("fs2.clauses_examined",
-                  "clause records run through the TUE") +=
-            result.clausesExamined;
-        m.counter("fs2.bytes_streamed",
-                  "clause bytes streamed through the Double Buffer") +=
-            result.bytesStreamed;
-        m.counter("fs2.accepted", "clauses passing the filter") +=
-            result.hits();
-        m.counter("fs2.db.fills",
-                  "records admitted to the Double Buffer") +=
-            result.clausesExamined;
-        m.counter("fs2.db.stall_ticks",
-                  "simulated ticks the engine waited on the disk") +=
-            result.stallTime;
-        m.counter("fs2.db.overruns",
-                  "deliveries that outran the filter") +=
-            result.overruns;
-        m.counter("fs2.micro_instructions",
-                  "WCS microinstructions executed") +=
-            result.microInstructions;
+        ++m.counter(kSearches);
+        m.counter(kClausesExamined) += result.clausesExamined;
+        m.counter(kBytesStreamed) += result.bytesStreamed;
+        m.counter(kAccepted) += result.hits();
+        m.counter(kDbFills) += result.clausesExamined;
+        m.counter(kDbStallTicks) += result.stallTime;
+        m.counter(kDbOverruns) += result.overruns;
+        m.counter(kMicroInstructions) += result.microInstructions;
     }
     return result;
 }

@@ -16,6 +16,38 @@ namespace clare::net {
 
 namespace {
 
+const obs::CounterDef kAccepted{"router.accepted", "connections accepted"};
+const obs::CounterDef kClosed{"router.closed", "connections closed"};
+const obs::CounterDef kShed{"router.shed", "requests/connections shed"};
+const obs::CounterDef kBadFrames{"router.bad_frames",
+                                 "client frames failing validation"};
+const obs::CounterDef kRequests{"router.requests", "requests received"};
+const obs::CounterDef kBatches{"router.batches", "batch requests received"};
+const obs::CounterDef kBatchItems{"router.batch_items",
+                                  "batch items received"};
+const obs::CounterDef kSubbatches{"router.subbatches",
+                                  "per-shard sub-batches issued"};
+const obs::CounterDef kBadRequests{"router.bad_requests",
+                                   "requests failing validation"};
+const obs::CounterDef kRelayed{"router.relayed", "responses relayed"};
+const obs::CounterDef kRelayedDegraded{"router.relayed_degraded",
+                                       "degraded responses relayed"};
+const obs::CounterDef kUnavailable{
+    "router.unavailable", "requests with no replica able to answer"};
+const obs::CounterDef kFailovers{"router.failovers",
+                                 "replica attempts after a failure"};
+const obs::CounterDef kDegradedRetries{
+    "router.degraded_retries", "replica attempts after a held degraded reply"};
+const obs::CounterDef kDegradedHeld{
+    "router.degraded_held", "degraded replies held pending a clean replica"};
+const obs::CounterDef kProbes{"router.probes", "health probes sent"};
+const obs::CounterDef kRecovered{"router.recovered",
+                                 "backends probed back to healthy"};
+const obs::GaugeDef kHealthyBackends{"router.healthy_backends",
+                                     "backends currently healthy"};
+const obs::CounterDef kCatalogReloads{"router.catalog_reloads",
+                                      "catalog reloads applied"};
+
 /** splitmix64 finalizer (the repo's standard avalanche step). */
 std::uint64_t
 mix(std::uint64_t x)
@@ -169,8 +201,7 @@ Router::reloadCatalog(const std::string &path)
     if (from.empty())
         throw Error("router has no catalog path to reload from");
     setCatalog(ShardCatalog::load(from));
-    ++metrics_.counter("router.catalog_reloads",
-                       "catalog reloads applied");
+    ++metrics_.counter(kCatalogReloads);
 }
 
 std::shared_ptr<const ShardCatalog>
@@ -267,8 +298,7 @@ Router::acceptPending()
         if (!fd.valid())
             return;
         if (connections_.size() >= config_.maxConnections) {
-            ++metrics_.counter("router.shed",
-                               "requests/connections shed");
+            ++metrics_.counter(kShed);
             std::vector<std::uint8_t> frame;
             encodeFrame(FrameType::Error,
                         encodeError(ErrorCode::Overloaded,
@@ -277,7 +307,7 @@ Router::acceptPending()
             sendWholeFrame(fd.get(), frame, 100);
             continue;
         }
-        ++metrics_.counter("router.accepted", "connections accepted");
+        ++metrics_.counter(kAccepted);
         int raw = fd.get();
         Connection conn;
         conn.peer = "client:" + std::to_string(raw);
@@ -318,8 +348,7 @@ Router::readReady(Connection &conn)
                 conn.header =
                     decodeFrameHeader(conn.inbound.data(), conn.peer);
             } catch (const CorruptionError &) {
-                ++metrics_.counter("router.bad_frames",
-                                   "client frames failing validation");
+                ++metrics_.counter(kBadFrames);
                 return false;
             }
             conn.readingHeader = false;
@@ -336,8 +365,7 @@ Router::readReady(Connection &conn)
             verifyFramePayload(conn.header, payload.data(),
                                payload.size(), conn.peer);
         } catch (const CorruptionError &) {
-            ++metrics_.counter("router.bad_frames",
-                               "client frames failing validation");
+            ++metrics_.counter(kBadFrames);
             return false;
         }
         if (!dispatchFrame(conn, std::move(payload)))
@@ -367,8 +395,7 @@ Router::dispatchFrame(Connection &conn,
       case FrameType::Error:
       case FrameType::HealthReply:
       case FrameType::BatchResponse:
-        ++metrics_.counter("router.bad_frames",
-                           "client frames failing validation");
+        ++metrics_.counter(kBadFrames);
         return false;
     }
     updateEpoll(conn);
@@ -444,12 +471,9 @@ Router::relayToReplicas(const std::vector<std::uint32_t> &replicas,
     for (std::uint32_t idx : order) {
         Backend &backend = backends_[idx];
         if (advance == Advance::AfterFailure)
-            ++metrics_.counter("router.failovers",
-                               "replica attempts after a failure");
+            ++metrics_.counter(kFailovers);
         else if (advance == Advance::AfterDegradedHold)
-            ++metrics_.counter(
-                "router.degraded_retries",
-                "replica attempts after a held degraded reply");
+            ++metrics_.counter(kDegradedRetries);
         advance = Advance::AfterFailure;
         ReceivedFrame frame;
         try {
@@ -507,9 +531,7 @@ Router::relayToReplicas(const std::vector<std::uint32_t> &replicas,
         if (degraded) {
             if (!degradedItems) {
                 // Hold the degraded answer, hunt for a clean replica.
-                ++metrics_.counter(
-                    "router.degraded_held",
-                    "degraded replies held pending a clean replica");
+                ++metrics_.counter(kDegradedHeld);
                 degradedItems = std::move(replyItems);
             }
             advance = Advance::AfterDegradedHold;
@@ -524,8 +546,7 @@ Router::relayToReplicas(const std::vector<std::uint32_t> &replicas,
         // Every replica is degraded (or down): the degraded answer is
         // still *correct* — host unification scrubbed the candidates —
         // so return it rather than failing the query.
-        ++metrics_.counter("router.relayed_degraded",
-                           "degraded responses relayed");
+        ++metrics_.counter(kRelayedDegraded);
         outcome.kind = GroupOutcome::Kind::Relayed;
         outcome.items = std::move(*degradedItems);
         return outcome;
@@ -538,12 +559,11 @@ void
 Router::relayRequest(Connection &conn,
                      const std::vector<std::uint8_t> &payload)
 {
-    ++metrics_.counter("router.requests", "requests received");
+    ++metrics_.counter(kRequests);
 
     if (conn.outbound.size() - conn.outboundAt >
         config_.maxOutboundBytes) {
-        ++metrics_.counter("router.shed",
-                           "requests/connections shed");
+        ++metrics_.counter(kShed);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::Overloaded,
                                "outbound backlog limit reached"));
@@ -556,8 +576,7 @@ Router::relayRequest(Connection &conn,
         // opaque and travel to the backend verbatim.
         request = decodeRequest(payload, conn.peer);
     } catch (const CorruptionError &e) {
-        ++metrics_.counter("router.bad_requests",
-                           "requests failing validation");
+        ++metrics_.counter(kBadRequests);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::BadRequest, e.what()));
         return;
@@ -567,19 +586,17 @@ Router::relayRequest(Connection &conn,
         relayToReplicas(replicasOf(request.predicate), {payload});
     switch (outcome.kind) {
       case GroupOutcome::Kind::BadRequest:
-        ++metrics_.counter("router.bad_requests",
-                           "requests failing validation");
+        ++metrics_.counter(kBadRequests);
         queueFrame(conn, FrameType::Error, outcome.errorPayload);
         return;
       case GroupOutcome::Kind::Relayed:
-        ++metrics_.counter("router.relayed", "responses relayed");
+        ++metrics_.counter(kRelayed);
         queueFrame(conn, FrameType::Response, outcome.items[0]);
         return;
       case GroupOutcome::Kind::Unavailable:
         break;
     }
-    ++metrics_.counter("router.unavailable",
-                       "requests with no replica able to answer");
+    ++metrics_.counter(kUnavailable);
     queueFrame(conn, FrameType::Error,
                encodeError(ErrorCode::Unavailable,
                            "no replica could answer"));
@@ -589,12 +606,11 @@ void
 Router::relayBatch(Connection &conn,
                    const std::vector<std::uint8_t> &payload)
 {
-    ++metrics_.counter("router.batches", "batch requests received");
+    ++metrics_.counter(kBatches);
 
     if (conn.outbound.size() - conn.outboundAt >
         config_.maxOutboundBytes) {
-        ++metrics_.counter("router.shed",
-                           "requests/connections shed");
+        ++metrics_.counter(kShed);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::Overloaded,
                                "outbound backlog limit reached"));
@@ -605,8 +621,7 @@ Router::relayBatch(Connection &conn,
     try {
         items = decodeBatchItems(payload, conn.peer);
     } catch (const CorruptionError &e) {
-        ++metrics_.counter("router.bad_requests",
-                           "requests failing validation");
+        ++metrics_.counter(kBadRequests);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::BadRequest, e.what()));
         return;
@@ -616,9 +631,7 @@ Router::relayBatch(Connection &conn,
                    encodeBatchItems({}));
         return;
     }
-    metrics_
-        .counter("router.batch_items", "batch items received")
-        .add(items.size());
+    metrics_.counter(kBatchItems) += items.size();
 
     // Scatter: group items by replica set, preserving batch order
     // within each group (the merge rebuilds the original order from
@@ -635,8 +648,7 @@ Router::relayBatch(Connection &conn,
         try {
             request = decodeRequest(items[i], conn.peer);
         } catch (const CorruptionError &e) {
-            ++metrics_.counter("router.bad_requests",
-                               "requests failing validation");
+            ++metrics_.counter(kBadRequests);
             queueFrame(conn, FrameType::Error,
                        encodeError(ErrorCode::BadRequest, e.what()));
             return;
@@ -654,9 +666,7 @@ Router::relayBatch(Connection &conn,
     // runs the same replica walk a single request does (the backend
     // streams are mutex-guarded, so two shards sharing a backend
     // serialize on its connection instead of interleaving frames).
-    metrics_
-        .counter("router.subbatches", "per-shard sub-batches issued")
-        .add(groups.size());
+    metrics_.counter(kSubbatches) += groups.size();
     std::vector<std::future<GroupOutcome>> futures;
     futures.reserve(groups.size());
     for (const Group &group : groups)
@@ -680,17 +690,14 @@ Router::relayBatch(Connection &conn,
     // answers would silently drop items).
     for (const GroupOutcome &outcome : outcomes) {
         if (outcome.kind == GroupOutcome::Kind::BadRequest) {
-            ++metrics_.counter("router.bad_requests",
-                               "requests failing validation");
+            ++metrics_.counter(kBadRequests);
             queueFrame(conn, FrameType::Error, outcome.errorPayload);
             return;
         }
     }
     for (const GroupOutcome &outcome : outcomes) {
         if (outcome.kind == GroupOutcome::Kind::Unavailable) {
-            ++metrics_.counter(
-                "router.unavailable",
-                "requests with no replica able to answer");
+            ++metrics_.counter(kUnavailable);
             queueFrame(conn, FrameType::Error,
                        encodeError(ErrorCode::Unavailable,
                                    "no replica could answer a "
@@ -707,7 +714,7 @@ Router::relayBatch(Connection &conn,
         for (std::size_t k = 0; k < groups[g].itemIndex.size(); ++k)
             merged[groups[g].itemIndex[k]] =
                 std::move(outcomes[g].items[k]);
-    ++metrics_.counter("router.relayed", "responses relayed");
+    ++metrics_.counter(kRelayed);
     queueFrame(conn, FrameType::BatchResponse,
                encodeBatchItems(merged));
 }
@@ -729,8 +736,7 @@ Router::probeBackends()
                 backend.probeStream->call(FrameType::Health, {});
             bool ok = reply.type == FrameType::HealthReply;
             if (ok && !backend.healthy.load())
-                ++metrics_.counter("router.recovered",
-                                   "backends probed back to healthy");
+                ++metrics_.counter(kRecovered);
             backend.healthy.store(ok);
             if (!ok)
                 backend.probeStream.reset();
@@ -738,14 +744,12 @@ Router::probeBackends()
             backend.probeStream.reset();
             backend.healthy.store(false);
         }
-        ++metrics_.counter("router.probes", "health probes sent");
+        ++metrics_.counter(kProbes);
     }
     std::uint64_t healthy = 0;
     for (const Backend &backend : backends_)
         healthy += backend.healthy.load() ? 1 : 0;
-    metrics_.gauge("router.healthy_backends",
-                   "backends currently healthy")
-        .set(static_cast<double>(healthy));
+    metrics_.gauge(kHealthyBackends).set(static_cast<double>(healthy));
 }
 
 json::Value
@@ -840,7 +844,7 @@ Router::closeConnection(int fd)
     if (it == connections_.end())
         return;
     ::epoll_ctl(epollFd_.get(), EPOLL_CTL_DEL, fd, nullptr);
-    ++metrics_.counter("router.closed", "connections closed");
+    ++metrics_.counter(kClosed);
     connections_.erase(it);
 }
 

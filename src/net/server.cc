@@ -18,6 +18,29 @@ namespace clare::net {
 
 namespace {
 
+const obs::CounterDef kAccepted{"net.accepted", "connections accepted"};
+const obs::CounterDef kClosed{"net.closed", "connections closed"};
+const obs::CounterDef kShed{
+    "net.shed", "requests/connections shed by admission control"};
+const obs::CounterDef kBadFrames{"net.bad_frames",
+                                 "frames failing header/CRC validation"};
+const obs::CounterDef kHealthProbes{"net.health_probes",
+                                    "health probes answered"};
+const obs::CounterDef kRequests{"net.requests", "requests received"};
+const obs::CounterDef kBatches{"net.batches", "batch requests received"};
+const obs::CounterDef kBadRequests{"net.bad_requests",
+                                   "requests failing validation"};
+const obs::CounterDef kResponses{"net.responses", "responses served"};
+const obs::CounterDef kServeErrors{"net.serve_errors",
+                                   "requests failing in the pipeline"};
+const obs::CounterDef kFaultDrop{"net.fault.drop", "outbound frames dropped"};
+const obs::CounterDef kFaultTruncate{"net.fault.truncate",
+                                     "outbound frames truncated"};
+const obs::CounterDef kFaultCorrupt{"net.fault.corrupt",
+                                    "outbound frames bit-flipped"};
+const obs::CounterDef kFaultDelay{"net.fault.delay",
+                                  "outbound frames delayed"};
+
 constexpr std::string_view kWireSite = "wire.conn";
 
 term::PredicateId
@@ -133,9 +156,7 @@ NetServer::acceptPending()
             return;
         if (connections_.size() >= config_.maxConnections) {
             // Shed at the door: one best-effort Error frame, close.
-            ++server_.metrics().counter(
-                "net.shed", "requests/connections shed by admission "
-                            "control");
+            ++server_.metrics().counter(kShed);
             std::vector<std::uint8_t> frame;
             encodeFrame(FrameType::Error,
                         encodeError(ErrorCode::Overloaded,
@@ -146,8 +167,7 @@ NetServer::acceptPending()
                        MSG_NOSIGNAL);
             continue;
         }
-        ++server_.metrics().counter("net.accepted",
-                                    "connections accepted");
+        ++server_.metrics().counter(kAccepted);
         int raw = fd.get();
         Connection conn;
         conn.peer = "client:" + std::to_string(raw);
@@ -188,9 +208,7 @@ NetServer::readReady(Connection &conn)
                 conn.header =
                     decodeFrameHeader(conn.inbound.data(), conn.peer);
             } catch (const CorruptionError &) {
-                ++server_.metrics().counter(
-                    "net.bad_frames",
-                    "frames failing header/CRC validation");
+                ++server_.metrics().counter(kBadFrames);
                 return false; // desync: the stream is unrecoverable
             }
             conn.readingHeader = false;
@@ -207,9 +225,7 @@ NetServer::readReady(Connection &conn)
             verifyFramePayload(conn.header, payload.data(),
                                payload.size(), conn.peer);
         } catch (const CorruptionError &) {
-            ++server_.metrics().counter(
-                "net.bad_frames",
-                "frames failing header/CRC validation");
+            ++server_.metrics().counter(kBadFrames);
             return false;
         }
         if (!dispatchFrame(conn, std::move(payload)))
@@ -232,8 +248,7 @@ NetServer::dispatchFrame(Connection &conn,
         serveBatchRequest(conn, payload);
         break;
       case FrameType::Health: {
-        ++server_.metrics().counter("net.health_probes",
-                                    "health probes answered");
+        ++server_.metrics().counter(kHealthProbes);
         std::string body = healthJson().dump();
         std::vector<std::uint8_t> reply(body.begin(), body.end());
         if (!queueFrame(conn, FrameType::HealthReply, reply))
@@ -245,8 +260,7 @@ NetServer::dispatchFrame(Connection &conn,
       case FrameType::HealthReply:
       case FrameType::BatchResponse:
         // Only a server sends these; a client that does is confused.
-        ++server_.metrics().counter(
-            "net.bad_frames", "frames failing header/CRC validation");
+        ++server_.metrics().counter(kBadFrames);
         return false;
     }
     if (!keep)
@@ -263,15 +277,13 @@ void
 NetServer::serveRequest(Connection &conn,
                         const std::vector<std::uint8_t> &payload)
 {
-    ++server_.metrics().counter("net.requests", "requests received");
+    ++server_.metrics().counter(kRequests);
 
     // Backpressure: a peer that stopped draining responses does not
     // get more of the pipeline's time (or this process's memory).
     if (conn.outbound.size() - conn.outboundAt >
         config_.maxOutboundBytes) {
-        ++server_.metrics().counter(
-            "net.shed",
-            "requests/connections shed by admission control");
+        ++server_.metrics().counter(kShed);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::Overloaded,
                                "outbound backlog limit reached"));
@@ -284,8 +296,7 @@ NetServer::serveRequest(Connection &conn,
     } catch (const CorruptionError &e) {
         // The frame passed its CRC, so this is a sender bug, not wire
         // damage: answer it and keep the (still framed) connection.
-        ++server_.metrics().counter("net.bad_requests",
-                                    "requests failing validation");
+        ++server_.metrics().counter(kBadRequests);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::BadRequest, e.what()));
         return;
@@ -300,15 +311,13 @@ NetServer::serveRequest(Connection &conn,
         local.goal = decodeGoal(request.goalPif, symbols_, arena,
                                 conn.peer);
     } catch (const CorruptionError &e) {
-        ++server_.metrics().counter("net.bad_requests",
-                                    "requests failing validation");
+        ++server_.metrics().counter(kBadRequests);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::BadRequest, e.what()));
         return;
     }
     if (goalPredicate(arena, local.goal) != request.predicate) {
-        ++server_.metrics().counter("net.bad_requests",
-                                    "requests failing validation");
+        ++server_.metrics().counter(kBadRequests);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::BadRequest,
                                "predicate field disagrees with the "
@@ -316,8 +325,7 @@ NetServer::serveRequest(Connection &conn,
         return;
     }
     if (!store_.has(request.predicate)) {
-        ++server_.metrics().counter("net.bad_requests",
-                                    "requests failing validation");
+        ++server_.metrics().counter(kBadRequests);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::BadRequest,
                                "unknown predicate"));
@@ -330,8 +338,7 @@ NetServer::serveRequest(Connection &conn,
     try {
         crs::RetrievalResponse response = server_.serve(local);
         ++served_;
-        ++server_.metrics().counter("net.responses",
-                                    "responses served");
+        ++server_.metrics().counter(kResponses);
         if (response.replayBlob != nullptr) {
             // Warm L3 hit: the cache's pre-encoded blob travels
             // verbatim, only the request id is patched in flight.
@@ -342,8 +349,7 @@ NetServer::serveRequest(Connection &conn,
             queueFrame(conn, FrameType::Response, conn.payloadScratch);
         }
     } catch (const Error &e) {
-        ++server_.metrics().counter("net.serve_errors",
-                                    "requests failing in the pipeline");
+        ++server_.metrics().counter(kServeErrors);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::Internal, e.what()));
     }
@@ -353,14 +359,11 @@ void
 NetServer::serveBatchRequest(Connection &conn,
                              const std::vector<std::uint8_t> &payload)
 {
-    ++server_.metrics().counter("net.batches",
-                                "batch requests received");
+    ++server_.metrics().counter(kBatches);
 
     if (conn.outbound.size() - conn.outboundAt >
         config_.maxOutboundBytes) {
-        ++server_.metrics().counter(
-            "net.shed",
-            "requests/connections shed by admission control");
+        ++server_.metrics().counter(kShed);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::Overloaded,
                                "outbound backlog limit reached"));
@@ -371,8 +374,7 @@ NetServer::serveBatchRequest(Connection &conn,
     try {
         items = decodeBatchItems(payload, conn.peer);
     } catch (const CorruptionError &e) {
-        ++server_.metrics().counter("net.bad_requests",
-                                    "requests failing validation");
+        ++server_.metrics().counter(kBadRequests);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::BadRequest, e.what()));
         return;
@@ -400,15 +402,13 @@ NetServer::serveBatchRequest(Connection &conn,
             local.goal = decodeGoal(request.goalPif, symbols_, arena,
                                     conn.peer);
         } catch (const CorruptionError &e) {
-            ++server_.metrics().counter("net.bad_requests",
-                                        "requests failing validation");
+            ++server_.metrics().counter(kBadRequests);
             queueFrame(conn, FrameType::Error,
                        encodeError(ErrorCode::BadRequest, e.what()));
             return;
         }
         if (goalPredicate(arena, local.goal) != request.predicate) {
-            ++server_.metrics().counter("net.bad_requests",
-                                        "requests failing validation");
+            ++server_.metrics().counter(kBadRequests);
             queueFrame(conn, FrameType::Error,
                        encodeError(ErrorCode::BadRequest,
                                    "predicate field disagrees with "
@@ -416,8 +416,7 @@ NetServer::serveBatchRequest(Connection &conn,
             return;
         }
         if (!store_.has(request.predicate)) {
-            ++server_.metrics().counter("net.bad_requests",
-                                        "requests failing validation");
+            ++server_.metrics().counter(kBadRequests);
             queueFrame(conn, FrameType::Error,
                        encodeError(ErrorCode::BadRequest,
                                    "unknown predicate"));
@@ -455,12 +454,10 @@ NetServer::serveBatchRequest(Connection &conn,
             closeBatchItem(at, reply);
         }
         served_ += responses.size();
-        ++server_.metrics().counter("net.responses",
-                                    "responses served");
+        ++server_.metrics().counter(kResponses);
         queueFrame(conn, FrameType::BatchResponse, reply);
     } catch (const Error &e) {
-        ++server_.metrics().counter("net.serve_errors",
-                                    "requests failing in the pipeline");
+        ++server_.metrics().counter(kServeErrors);
         queueFrame(conn, FrameType::Error,
                    encodeError(ErrorCode::Internal, e.what()));
     }
@@ -512,12 +509,10 @@ NetServer::queueBuiltFrame(Connection &conn)
           case support::FrameFault::None:
             break;
           case support::FrameFault::Drop:
-            ++server_.metrics().counter("net.fault.drop",
-                                        "outbound frames dropped");
+            ++server_.metrics().counter(kFaultDrop);
             return false;
           case support::FrameFault::Truncate: {
-            ++server_.metrics().counter("net.fault.truncate",
-                                        "outbound frames truncated");
+            ++server_.metrics().counter(kFaultTruncate);
             frame.resize(faults->truncatedFrameBytes(kWireSite, key,
                                                      frame.size()));
             conn.outbound.insert(conn.outbound.end(), frame.begin(),
@@ -526,14 +521,12 @@ NetServer::queueBuiltFrame(Connection &conn)
             return true;
           }
           case support::FrameFault::Corrupt:
-            ++server_.metrics().counter(
-                "net.fault.corrupt", "outbound frames bit-flipped");
+            ++server_.metrics().counter(kFaultCorrupt);
             faults->flipBit(kWireSite, key, frame.data(),
                             frame.size());
             break;
           case support::FrameFault::Delay:
-            ++server_.metrics().counter("net.fault.delay",
-                                        "outbound frames delayed");
+            ++server_.metrics().counter(kFaultDelay);
             std::this_thread::sleep_for(std::chrono::milliseconds(
                 faults->config().frameDelayMillis));
             break;
@@ -604,7 +597,7 @@ NetServer::closeConnection(int fd)
     if (it == connections_.end())
         return;
     ::epoll_ctl(epollFd_.get(), EPOLL_CTL_DEL, fd, nullptr);
-    ++server_.metrics().counter("net.closed", "connections closed");
+    ++server_.metrics().counter(kClosed);
     connections_.erase(it);
 }
 

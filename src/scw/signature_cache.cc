@@ -2,6 +2,15 @@
 
 namespace clare::scw {
 
+namespace {
+
+const obs::CounterDef kSigHits{
+    "scw.cache.sig_hits", "query signatures served from the encode memo"};
+const obs::CounterDef kSigMisses{
+    "scw.cache.sig_misses", "query signatures encoded from scratch"};
+
+} // namespace
+
 SignatureCache::SignatureCache(std::size_t capacity) : cache_(capacity)
 {
 }
@@ -15,16 +24,8 @@ SignatureCache::find(const std::string &key, const obs::Observer &obs)
         if (Signature *sig = cache_.get(key))
             found = *sig;
     }
-    if (obs.metrics != nullptr) {
-        if (found)
-            ++obs.metrics->counter("scw.cache.sig_hits",
-                                   "query signatures served from the "
-                                   "encode memo");
-        else
-            ++obs.metrics->counter("scw.cache.sig_misses",
-                                   "query signatures encoded from "
-                                   "scratch");
-    }
+    if (obs.metrics != nullptr)
+        ++obs.metrics->counter(found ? kSigHits : kSigMisses);
     return found;
 }
 

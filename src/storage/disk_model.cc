@@ -7,6 +7,28 @@
 
 namespace clare::storage {
 
+const obs::CounterDef kRetryAttempts{
+    "disk.retry.attempts", "chunk re-reads after transient errors"};
+
+namespace {
+
+const obs::CounterDef kCacheHit{"disk.cache.hit",
+                                "reads served from the track cache"};
+const obs::CounterDef kCacheMiss{"disk.cache.miss",
+                                 "reads that went to the platters"};
+const obs::CounterDef kCacheEvict{"disk.cache.evict",
+                                  "tracks evicted from the track cache"};
+const obs::CounterDef kStreams{"disk.streams", "DMA stream commands"};
+const obs::CounterDef kBytesStreamed{"disk.bytes_streamed",
+                                     "bytes delivered by DMA streams"};
+const obs::CounterDef kChunks{"disk.chunks", "DMA chunks delivered"};
+const obs::CounterDef kRetryExhausted{
+    "disk.retry.exhausted", "chunks unreadable after bounded retries"};
+const obs::CounterDef kBitFlips{
+    "disk.faults.bit_flips", "chunks delivered with an injected bit flip"};
+
+} // namespace
+
 DiskGeometry
 DiskGeometry::micropolis1325()
 {
@@ -140,14 +162,8 @@ DiskModel::cacheLookup(std::uint64_t offset, std::uint64_t length,
         for (std::uint64_t t = first; t <= last; ++t)
             cache_.get(t);
     }
-    if (obs.metrics != nullptr) {
-        if (hit)
-            ++obs.metrics->counter("disk.cache.hit",
-                                   "reads served from the track cache");
-        else
-            ++obs.metrics->counter("disk.cache.miss",
-                                   "reads that went to the platters");
-    }
+    if (obs.metrics != nullptr)
+        ++obs.metrics->counter(hit ? kCacheHit : kCacheMiss);
     return hit;
 }
 
@@ -168,11 +184,8 @@ DiskModel::cacheFill(std::uint64_t offset, std::uint64_t length,
         for (std::uint64_t t = first; t <= last; ++t)
             evictions += cache_.put(t, 0) ? 1 : 0;
     }
-    if (evictions > 0 && obs.metrics != nullptr) {
-        obs.metrics->counter("disk.cache.evict",
-                             "tracks evicted from the track cache") +=
-            evictions;
-    }
+    if (evictions > 0 && obs.metrics != nullptr)
+        obs.metrics->counter(kCacheEvict) += evictions;
 }
 
 ReadTiming
@@ -248,13 +261,9 @@ DiskModel::stream(std::uint64_t offset, std::uint64_t length,
             span.setSimTicks(end - start);
         }
         if (obs.metrics != nullptr) {
-            ++obs.metrics->counter("disk.streams",
-                                   "DMA stream commands");
-            obs.metrics->counter("disk.bytes_streamed",
-                                 "bytes delivered by DMA streams") +=
-                length;
-            obs.metrics->counter("disk.chunks",
-                                 "DMA chunks delivered") += chunks;
+            ++obs.metrics->counter(kStreams);
+            obs.metrics->counter(kBytesStreamed) += length;
+            obs.metrics->counter(kChunks) += chunks;
         }
         return end;
     }
@@ -285,13 +294,8 @@ DiskModel::stream(std::uint64_t offset, std::uint64_t length,
             ready += static_cast<Tick>(attempt) * accessTime();
             if (attempt == retry.maxAttempts) {
                 if (obs.metrics != nullptr) {
-                    obs.metrics->counter(
-                        "disk.retry.attempts",
-                        "chunk re-reads after transient errors") +=
-                        retries;
-                    ++obs.metrics->counter(
-                        "disk.retry.exhausted",
-                        "chunks unreadable after bounded retries");
+                    obs.metrics->counter(kRetryAttempts) += retries;
+                    ++obs.metrics->counter(kRetryExhausted);
                 }
                 throw IoError(geometry_.name,
                               "chunk at byte " +
@@ -332,21 +336,15 @@ DiskModel::stream(std::uint64_t offset, std::uint64_t length,
         span.setSimTicks(end - start);
     }
     if (obs.metrics != nullptr) {
-        ++obs.metrics->counter("disk.streams", "DMA stream commands");
-        obs.metrics->counter("disk.bytes_streamed",
-                             "bytes delivered by DMA streams") += length;
-        obs.metrics->counter("disk.chunks", "DMA chunks delivered") +=
-            chunks;
+        ++obs.metrics->counter(kStreams);
+        obs.metrics->counter(kBytesStreamed) += length;
+        obs.metrics->counter(kChunks) += chunks;
         // Fault counters are created lazily, only on actual fault
         // events, so clean runs keep a bit-identical metrics dump.
         if (retries > 0)
-            obs.metrics->counter(
-                "disk.retry.attempts",
-                "chunk re-reads after transient errors") += retries;
+            obs.metrics->counter(kRetryAttempts) += retries;
         if (flips > 0)
-            obs.metrics->counter(
-                "disk.faults.bit_flips",
-                "chunks delivered with an injected bit flip") += flips;
+            obs.metrics->counter(kBitFlips) += flips;
     }
     return end;
 }

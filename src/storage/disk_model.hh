@@ -28,6 +28,12 @@
 namespace clare::storage {
 
 /**
+ * Chunk re-reads after transient errors; counted here and by the
+ * CRS's clause-data recovery, which retries the same reads.
+ */
+extern const obs::CounterDef kRetryAttempts;
+
+/**
  * Bounded retry of transient device errors.  Each retry re-positions
  * the head, so it costs a full accessTime(); a chunk that fails every
  * attempt is a permanent failure (IoError).

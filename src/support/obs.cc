@@ -223,6 +223,17 @@ histogramPercentile(const Histogram &h, double q)
 
 namespace {
 
+std::size_t
+nextDefSlot()
+{
+    static std::atomic<std::size_t> next{0};
+    std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
+    clare_assert(slot < kMaxInstrumentDefs,
+                 "more than %zu instrument descriptors; raise "
+                 "kMaxInstrumentDefs", kMaxInstrumentDefs);
+    return slot;
+}
+
 template <typename Entries, typename Make>
 auto &
 findOrCreate(Entries &entries, const std::string &name,
@@ -236,6 +247,11 @@ findOrCreate(Entries &entries, const std::string &name,
 }
 
 } // namespace
+
+InstrumentDef::InstrumentDef(std::string name, std::string desc)
+    : name_(std::move(name)), desc_(std::move(desc)),
+      slot_(nextDefSlot())
+{}
 
 Counter &
 MetricsRegistry::counter(const std::string &name, const std::string &desc)

@@ -15,12 +15,18 @@
  *    thread-local current span, or explicitly by id for work handed
  *    to pool workers.
  *
- *  - Metrics are registered by name: monotonically increasing
- *    counters, last-value gauges, and fixed-bucket histograms.  All
- *    updates are lock-free atomics so engines shared by the parallel
- *    retrieval pipeline can account concurrently; registration takes
- *    a registry lock and returns references that stay valid for the
- *    registry's lifetime.
+ *  - Metrics are monotonically increasing counters, last-value
+ *    gauges, and fixed-bucket histograms.  Each instrument is declared
+ *    once, as a namespace-scope descriptor (CounterDef, GaugeDef,
+ *    HistogramDef) next to the component that counts it; a descriptor
+ *    owns a process-wide slot in every registry's table of instrument
+ *    pointers.  The first touch in a registry registers the instrument
+ *    by name (under the registry lock, so a dump lists instruments in
+ *    first-touch order and never shows one nothing has counted yet);
+ *    every later touch is one acquire load.  All updates are
+ *    lock-free atomics so engines shared by the parallel retrieval
+ *    pipeline can account concurrently, and references stay valid for
+ *    the registry's lifetime.
  *
  *  - Exporters render a registry and/or tracer as a json::Value tree
  *    (machine-diffable bench output) or CSV rows.
@@ -33,12 +39,14 @@
 #ifndef CLARE_SUPPORT_OBS_HH
 #define CLARE_SUPPORT_OBS_HH
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -274,10 +282,77 @@ class Histogram
  */
 double histogramPercentile(const Histogram &h, double q);
 
+/** Descriptor slots per registry; every descriptor in the process. */
+inline constexpr std::size_t kMaxInstrumentDefs = 256;
+
+/**
+ * The identity of one instrument: its name, description, and a slot
+ * index assigned when the descriptor is constructed (static init for
+ * the namespace-scope descriptors this is meant for).  Descriptors
+ * must outlive every registry that resolves them.
+ */
+class InstrumentDef
+{
+  public:
+    InstrumentDef(const InstrumentDef &) = delete;
+    InstrumentDef &operator=(const InstrumentDef &) = delete;
+
+    const std::string &name() const { return name_; }
+    const std::string &desc() const { return desc_; }
+    std::size_t slot() const { return slot_; }
+
+  protected:
+    InstrumentDef(std::string name, std::string desc);
+
+  private:
+    std::string name_, desc_;
+    std::size_t slot_;
+};
+
+struct CounterDef : InstrumentDef
+{
+    CounterDef(std::string name, std::string desc)
+        : InstrumentDef(std::move(name), std::move(desc))
+    {}
+};
+
+struct GaugeDef : InstrumentDef
+{
+    GaugeDef(std::string name, std::string desc)
+        : InstrumentDef(std::move(name), std::move(desc))
+    {}
+};
+
+struct HistogramDef : InstrumentDef
+{
+    HistogramDef(std::string name, std::vector<double> bounds,
+                 std::string desc)
+        : InstrumentDef(std::move(name), std::move(desc)),
+          bounds(std::move(bounds))
+    {}
+
+    std::vector<double> bounds;
+};
+
+/**
+ * @p N counter descriptors named @p prefix + suffix(i), one per value
+ * of an enum (per-mode, per-operation families).
+ */
+template <std::size_t N, typename Suffix>
+std::array<CounterDef, N>
+counterFamily(const std::string &prefix, Suffix suffix,
+              const std::string &desc)
+{
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+        return std::array<CounterDef, N>{
+            CounterDef(prefix + suffix(I), desc)...};
+    }(std::make_index_sequence<N>{});
+}
+
 /**
  * A named collection of metrics.  Registration returns references
  * valid for the registry's lifetime; looking up an existing name
- * returns the same instrument.
+ * returns the same instrument, whether by name or by descriptor.
  */
 class MetricsRegistry
 {
@@ -286,6 +361,17 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
+    /** The descriptor's instrument; registers it on first touch. */
+    Counter &counter(const CounterDef &def) { return resolve<Counter>(def); }
+    Gauge &gauge(const GaugeDef &def) { return resolve<Gauge>(def); }
+    Histogram &histogram(const HistogramDef &def)
+    {
+        return resolve<Histogram>(def);
+    }
+
+    // Name-keyed registration: a lock and a scan per call.  The
+    // descriptor overloads take it once per registry; tests and
+    // benches use it to read instruments back by name.
     Counter &counter(const std::string &name,
                      const std::string &desc = "");
     Gauge &gauge(const std::string &name, const std::string &desc = "");
@@ -327,6 +413,39 @@ class MetricsRegistry
         std::string name, desc;
         std::unique_ptr<T> instrument;
     };
+
+    Counter &registerDef(const CounterDef &def)
+    {
+        return counter(def.name(), def.desc());
+    }
+    Gauge &registerDef(const GaugeDef &def)
+    {
+        return gauge(def.name(), def.desc());
+    }
+    Histogram &registerDef(const HistogramDef &def)
+    {
+        return histogram(def.name(), def.bounds, def.desc());
+    }
+
+    /**
+     * Racing first touches all register the same instrument, so
+     * whichever store lands last writes the same pointer; the
+     * release/acquire pair publishes its construction to readers.
+     */
+    template <typename T, typename Def>
+    T &
+    resolve(const Def &def)
+    {
+        std::atomic<void *> &slot = slots_[def.slot()];
+        if (void *p = slot.load(std::memory_order_acquire))
+            return *static_cast<T *>(p);
+        T &instrument = registerDef(def);
+        slot.store(&instrument, std::memory_order_release);
+        return instrument;
+    }
+
+    /** Descriptor slot -> its instrument here (null until touched). */
+    std::array<std::atomic<void *>, kMaxInstrumentDefs> slots_{};
 
     mutable std::mutex mutex_;
     std::vector<Entry<Counter>> counters_;

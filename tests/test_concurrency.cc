@@ -3,8 +3,8 @@
  * Concurrency coverage for the sharded retrieval pipeline: thread-pool
  * primitives, FS1 shard determinism (bit-identical candidates and
  * answers at any worker count), serveBatch() equivalence with the
- * sequential loop, shard-accumulated busy-time accounting, and
- * thread-safe statistics, transaction/lock-manager edge cases
+ * sequential loop, shard-accumulated busy-time accounting,
+ * thread-safe metrics resolution, transaction/lock-manager edge cases
  * (re-acquisition, upgrade, partial acquireAll failure), and live-update
  * interleaving: a writer thread streaming assertz commits through a
  * LiveStore while concurrent serveBatch() readers prove that
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -28,7 +29,6 @@
 #include "crs/server.hh"
 #include "crs/store.hh"
 #include "crs/transaction.hh"
-#include "support/stats.hh"
 #include "support/thread_pool.hh"
 #include "term/term_reader.hh"
 #include "unify/oracle.hh"
@@ -101,34 +101,80 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkerDoesNotDeadlock)
 }
 
 // ---------------------------------------------------------------------
-// Thread-safe statistics.
+// Thread-safe metrics: descriptors first-touched from many threads.
 // ---------------------------------------------------------------------
 
-TEST(StatsConcurrencyTest, ConcurrentScalarUpdatesDoNotLose)
+const obs::CounterDef kSharedEvents{"test.shared_events",
+                                    "events counted by every worker"};
+const std::array<obs::CounterDef, 8> kEvents =
+    obs::counterFamily<8>(
+        "test.events.", [](std::size_t i) { return std::to_string(i); },
+        "events counted by one residue class");
+const obs::HistogramDef kLatency[4] = {
+    {"test.latency.0", {1.0, 16.0}, "samples of residue class 0"},
+    {"test.latency.1", {1.0, 16.0}, "samples of residue class 1"},
+    {"test.latency.2", {1.0, 16.0}, "samples of residue class 2"},
+    {"test.latency.3", {1.0, 16.0}, "samples of residue class 3"},
+};
+
+TEST(MetricsConcurrencyTest, RacingFirstTouchesShareOneInstrument)
 {
-    StatGroup group("g");
-    Scalar &counter = group.scalar("n");
+    obs::MetricsRegistry metrics;
     support::ThreadPool pool(4);
     constexpr std::size_t kIters = 10000;
-    pool.parallelFor(kIters, [&](std::size_t) { counter += 2; });
-    EXPECT_EQ(counter.value(), 2 * kIters);
+    // Every task may be the first touch: the slot fills exactly once
+    // per registry and no increment lands on a discarded instrument.
+    pool.parallelFor(kIters, [&](std::size_t) {
+        metrics.counter(kSharedEvents) += 2;
+    });
+    EXPECT_EQ(metrics.counter(kSharedEvents).value(), 2 * kIters);
+    EXPECT_EQ(&metrics.counter(kSharedEvents),
+              &metrics.counter(kSharedEvents.name()));
+    ASSERT_EQ(metrics.counters().size(), 1u);
+    EXPECT_EQ(metrics.counters()[0].desc, kSharedEvents.desc());
 }
 
-TEST(StatsConcurrencyTest, ConcurrentRegistrationAndSampling)
+TEST(MetricsConcurrencyTest, InterleavedDescriptorsStayPerRegistry)
 {
-    StatGroup group("g");
+    obs::MetricsRegistry metrics;
+    obs::MetricsRegistry other;
     support::ThreadPool pool(4);
     pool.parallelFor(64, [&](std::size_t i) {
-        // Half the indices hit one shared distribution, half register
-        // interleaved names — registration must be race-free too.
-        group.distribution("d" + std::to_string(i % 4))
-            .sample(static_cast<double>(i));
-        ++group.scalar("s" + std::to_string(i % 8));
+        // Distinct counter and histogram descriptors first-touched in
+        // interleaved order; even tasks also count into a second
+        // registry, whose instruments must stay its own.
+        metrics.histogram(kLatency[i % 4]).record(static_cast<double>(i));
+        ++metrics.counter(kEvents[i % 8]);
+        if (i % 2 == 0)
+            ++other.counter(kEvents[i % 8]);
     });
+
     std::uint64_t samples = 0;
-    for (int d = 0; d < 4; ++d)
-        samples += group.distribution("d" + std::to_string(d)).count();
+    for (const obs::HistogramDef &def : kLatency) {
+        obs::Histogram &h = metrics.histogram(def);
+        EXPECT_EQ(&h, &metrics.histogram(def.name(), {}));
+        EXPECT_EQ(h.count(), 16u);
+        samples += h.count();
+    }
     EXPECT_EQ(samples, 64u);
+    EXPECT_EQ(metrics.histograms().size(), 4u);
+
+    ASSERT_EQ(metrics.counters().size(), 8u);
+    ASSERT_EQ(other.counters().size(), 4u);
+    for (std::size_t k = 0; k < kEvents.size(); ++k) {
+        obs::Counter &mine = metrics.counter(kEvents[k]);
+        EXPECT_EQ(&mine, &metrics.counter(kEvents[k].name()));
+        EXPECT_EQ(mine.value(), 8u);
+        if (k % 2 == 0) {
+            EXPECT_NE(&other.counter(kEvents[k]), &mine);
+            EXPECT_EQ(other.counter(kEvents[k]).value(), 8u);
+        }
+    }
+    // Touching a descriptor in one registry never registers it in
+    // another: the odd residue classes are still absent from other.
+    for (const obs::MetricsRegistry::CounterView &c : other.counters())
+        EXPECT_EQ(c.value, 8u);
+    EXPECT_TRUE(other.histograms().empty());
 }
 
 // ---------------------------------------------------------------------
@@ -328,10 +374,9 @@ TEST_F(PipelineTest, SharedServerStatsAggregateAcrossWorkers)
             *server, q.arena, q.goal, crs::SearchMode::Fs1Only);
         scanned += r.indexEntriesScanned;
     }
-    EXPECT_EQ(server->fs1Stats().scalar("entriesScanned").value(),
-              scanned);
-    EXPECT_EQ(server->fs1Stats().scalar("searches").value(),
-              queries.size());
+    obs::MetricsRegistry &metrics = server->metrics();
+    EXPECT_EQ(metrics.counter("fs1.entries_scanned").value(), scanned);
+    EXPECT_EQ(metrics.counter("fs1.searches").value(), queries.size());
 }
 
 // ---------------------------------------------------------------------

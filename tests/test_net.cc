@@ -766,6 +766,77 @@ TEST_F(NetClusterTest, BadRequestAnswersTypedAndKeepsConnection)
                                         serveLocal(q, std::nullopt)));
 }
 
+TEST_F(NetClusterTest, RouterAnswersBadRequestsAndHealthOnOneConnection)
+{
+    Backend &backend = spawnBackend();
+    net::RouterConfig router_config;
+    router_config.backendPorts = {backend.net->port()};
+    net::Router router(router_config);
+    router.start();
+    net::ClientStream stream(router.port(), "raw-client", 1000);
+
+    // Passes the frame CRC but fails the router's own request decode:
+    // answered by the router, never sent to a backend.
+    net::ReceivedFrame reply = stream.call(
+        net::FrameType::Request, {0xde, 0xad, 0xbe, 0xef});
+    ASSERT_EQ(reply.type, net::FrameType::Error);
+    EXPECT_EQ(net::decodeError(reply.payload, "raw").code,
+              net::ErrorCode::BadRequest);
+
+    // Decodes at the router, but the backend rejects the unknown
+    // predicate; its BadRequest is relayed, not retried elsewhere.
+    net::WireRequest unknown_pred;
+    unknown_pred.id = 1;
+    unknown_pred.predicate = term::PredicateId{999999, 7};
+    term::TermReader reader(sym_);
+    term::ParsedTerm goal = reader.parseTerm("zzz_not_stored(a)");
+    unknown_pred.goalPif = net::encodeGoal(goal.arena, goal.root);
+    reply = stream.call(net::FrameType::Request,
+                        net::encodeRequest(unknown_pred));
+    ASSERT_EQ(reply.type, net::FrameType::Error);
+    EXPECT_EQ(net::decodeError(reply.payload, "raw").code,
+              net::ErrorCode::BadRequest);
+
+    // The router's own health document lists its healthy backend.
+    reply = stream.call(net::FrameType::Health, {});
+    ASSERT_EQ(reply.type, net::FrameType::HealthReply);
+    std::optional<json::Value> health = json::Value::parse(
+        std::string(reply.payload.begin(), reply.payload.end()));
+    ASSERT_TRUE(health.has_value());
+    ASSERT_NE(health->find("role"), nullptr);
+    EXPECT_EQ(health->find("role")->str(), "router");
+    const json::Value *backends = health->find("backends");
+    ASSERT_NE(backends, nullptr);
+    ASSERT_EQ(backends->size(), 1u);
+    EXPECT_EQ(backends->at(0).find("port")->number(),
+              static_cast<double>(backend.net->port()));
+    EXPECT_TRUE(backends->at(0).find("healthy")->boolean());
+
+    // Same connection, now a well-formed request: still served.
+    const workload::GeneratedQuery &q = queries_[0];
+    net::WireRequest good;
+    good.id = 2;
+    good.predicate =
+        q.arena.kind(q.goal) == term::TermKind::Atom
+            ? term::PredicateId{q.arena.atomSymbol(q.goal), 0}
+            : term::PredicateId{q.arena.functor(q.goal),
+                                q.arena.arity(q.goal)};
+    good.goalPif = net::encodeGoal(q.arena, q.goal);
+    reply = stream.call(net::FrameType::Request,
+                        net::encodeRequest(good));
+    ASSERT_EQ(reply.type, net::FrameType::Response);
+    net::WireResponse wire = net::decodeResponse(reply.payload, "raw");
+    EXPECT_EQ(wire.id, 2u);
+    EXPECT_TRUE(net::responsesIdentical(wire.response,
+                                        serveLocal(q, std::nullopt)));
+
+    obs::MetricsRegistry &metrics = router.metrics();
+    EXPECT_EQ(metrics.counter("router.requests").value(), 3u);
+    EXPECT_EQ(metrics.counter("router.bad_requests").value(), 2u);
+    EXPECT_EQ(metrics.counter("router.relayed").value(), 1u);
+    router.stop();
+}
+
 // ---------------------------------------------------------------------
 // Router event-loop and shed-path regressions.
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "crs/api.hh"
 #include "crs/server.hh"
 #include "crs/store.hh"
+#include "support/alloc_counter.hh"
 #include "support/json.hh"
 #include "support/obs.hh"
 #include "support/thread_pool.hh"
@@ -144,6 +145,78 @@ TEST(ObsMetrics, CounterGaugeBasics)
     reg.reset();
     EXPECT_EQ(c.value(), 0u);
     EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 0.0);
+}
+
+// Descriptions longer than the small-string buffer, so a name-keyed
+// lookup would allocate building them.
+const obs::CounterDef kRequestsDef{"test.requests", "requests received"};
+const obs::CounterDef kUntouchedDef{"test.untouched",
+                                    "never counted by any test"};
+const obs::GaugeDef kDepthDef{"test.depth", "queue depth at last sample"};
+const obs::HistogramDef kLatencyDef{"test.latency_us", {1.0, 10.0, 100.0},
+                                    "request latency in microseconds"};
+
+TEST(ObsMetrics, DescriptorsRegisterOnFirstTouch)
+{
+    obs::MetricsRegistry reg;
+    EXPECT_TRUE(reg.counters().empty());
+    // A name-keyed registration and the descriptor share one
+    // instrument, whichever comes first; the first registration's
+    // description is the one the dump shows.
+    obs::Counter &by_name = reg.counter("test.requests");
+    obs::Counter &by_def = reg.counter(kRequestsDef);
+    EXPECT_EQ(&by_name, &by_def);
+    reg.histogram(kLatencyDef).record(5.0);
+    EXPECT_EQ(&reg.histogram("test.latency_us", {}),
+              &reg.histogram(kLatencyDef));
+    reg.gauge(kDepthDef).set(3.0);
+
+    // Dump order is first-touch order; untouched descriptors are absent.
+    std::vector<obs::MetricsRegistry::CounterView> counters =
+        reg.counters();
+    ASSERT_EQ(counters.size(), 1u);
+    EXPECT_EQ(counters[0].name, "test.requests");
+    EXPECT_EQ(counters[0].desc, "");
+    std::vector<obs::MetricsRegistry::HistogramView> hists =
+        reg.histograms();
+    ASSERT_EQ(hists.size(), 1u);
+    EXPECT_EQ(hists[0].desc, kLatencyDef.desc());
+    EXPECT_EQ(hists[0].bounds, kLatencyDef.bounds);
+    EXPECT_EQ(hists[0].count, 1u);
+    ASSERT_EQ(reg.gauges().size(), 1u);
+    EXPECT_DOUBLE_EQ(reg.gauges()[0].value, 3.0);
+    EXPECT_NE(kUntouchedDef.slot(), kRequestsDef.slot());
+
+    // Another registry resolves the same descriptor to its own
+    // instrument, registered with the descriptor's description.
+    obs::MetricsRegistry other;
+    ++other.counter(kRequestsDef);
+    EXPECT_NE(&other.counter(kRequestsDef), &by_def);
+    EXPECT_EQ(other.counters()[0].desc, kRequestsDef.desc());
+    EXPECT_EQ(by_def.value(), 0u);
+}
+
+TEST(ObsMetrics, TouchedDescriptorsResolveWithoutAllocating)
+{
+    if (!support::allocCountingEnabled())
+        GTEST_SKIP() << "build with -DCLARE_COUNT_ALLOCS=ON";
+    obs::MetricsRegistry reg;
+    ++reg.counter(kRequestsDef);
+    reg.gauge(kDepthDef).set(0.0);
+    reg.histogram(kLatencyDef).record(0.0);
+
+    std::uint64_t before = support::allocationCount();
+    for (int i = 0; i < 1000; ++i)
+        ++reg.counter(kRequestsDef);
+    for (int i = 0; i < 1000; ++i)
+        reg.gauge(kDepthDef).set(static_cast<double>(i));
+    for (int i = 0; i < 1000; ++i)
+        reg.histogram(kLatencyDef).record(static_cast<double>(i));
+    EXPECT_EQ(support::allocationCount() - before, 0u);
+
+    EXPECT_EQ(reg.counter(kRequestsDef).value(), 1001u);
+    EXPECT_DOUBLE_EQ(reg.gauge(kDepthDef).value(), 999.0);
+    EXPECT_EQ(reg.histogram(kLatencyDef).count(), 1001u);
 }
 
 TEST(ObsMetrics, CountersAreThreadSafe)

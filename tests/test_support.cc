@@ -12,7 +12,6 @@
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/sim_time.hh"
-#include "support/stats.hh"
 #include "support/table.hh"
 
 namespace clare {
@@ -74,51 +73,6 @@ TEST(SimTime, ClockAdvances)
     EXPECT_EQ(clock.now(), 25u);
     clock.reset();
     EXPECT_EQ(clock.now(), 0u);
-}
-
-TEST(Stats, ScalarAccumulates)
-{
-    StatGroup group("g");
-    Scalar &s = group.scalar("events");
-    ++s;
-    s += 4;
-    EXPECT_EQ(s.value(), 5u);
-    // Same name returns the same stat.
-    EXPECT_EQ(group.scalar("events").value(), 5u);
-}
-
-TEST(Stats, DistributionMoments)
-{
-    StatGroup group("g");
-    Distribution &d = group.distribution("lat");
-    d.sample(2.0);
-    d.sample(4.0);
-    d.sample(6.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 6.0);
-}
-
-TEST(Stats, DumpContainsNamesAndValues)
-{
-    StatGroup group("fs2");
-    group.scalar("hits", "matches found") += 12;
-    std::ostringstream os;
-    group.dump(os);
-    EXPECT_NE(os.str().find("fs2.hits"), std::string::npos);
-    EXPECT_NE(os.str().find("12"), std::string::npos);
-    EXPECT_NE(os.str().find("matches found"), std::string::npos);
-}
-
-TEST(Stats, ResetZeroes)
-{
-    StatGroup group("g");
-    group.scalar("a") += 3;
-    group.distribution("d").sample(1.0);
-    group.reset();
-    EXPECT_EQ(group.scalar("a").value(), 0u);
-    EXPECT_EQ(group.distribution("d").count(), 0u);
 }
 
 TEST(Random, DeterministicForSeed)
