@@ -59,11 +59,11 @@ namespace {
 
 /**
  * The batched front door: every client's pending retrievals enter one
- * serveBatch() call and the sharded pipeline serves them — FS1 of
- * query k+1 overlapped with FS2 + host unification of query k.  The
- * table sweeps the worker count and reports real wall-clock makespan
- * for the whole batch, checking answers stay bit-identical to the
- * sequential path.
+ * serveBatch() call, which serves them in batch order with each FS1
+ * scan sharded across the workers (the FS1/FS2 overlap is modeled as
+ * queueWait, not executed).  The table sweeps the worker count and
+ * reports real wall-clock makespan for the whole batch, checking
+ * answers stay bit-identical to the sequential path.
  */
 void
 batchedFrontDoorSweep(std::uint32_t batch_width, json::Value &json_rows)
@@ -1028,12 +1028,12 @@ main(int argc, char **argv)
     std::printf("\nhost cores: %u\n",
                 std::thread::hardware_concurrency());
     std::printf("shape: batching the clients' pending retrievals "
-                "through serveBatch() lets the\nsharded FS1 scan "
-                "and the pipeline overlap turn host cores into "
-                "throughput while\nevery client still sees exactly "
-                "the sequential answers.  With fewer cores than\n"
-                "workers the sweep demonstrates determinism only — "
-                "speedup needs real cores.\n");
+                "through serveBatch() serves them\nin batch order "
+                "with each FS1 scan sharded across the workers; every "
+                "client\nstill sees exactly the sequential answers.  "
+                "CPU-bound shards gain little: the\nsweep mainly "
+                "demonstrates determinism, and speedup needs real "
+                "cores.\n");
 
     if (!bench::writeBenchJson(json_path, "multi_client",
                                std::move(json_rows)))

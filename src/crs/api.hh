@@ -105,9 +105,10 @@ struct RetrievalRequest
 struct StageBreakdown
 {
     /**
-     * Pipeline queue wait under serveBatch(): simulated time between
-     * this query's FS1 scan completing and the (serial) back half
-     * picking it up.  Always 0 on the sequential path.
+     * Pipeline queue wait under serveBatch() at workers > 1:
+     * simulated time between this query's FS1 scan completing and the
+     * (serial) back half picking it up in the modeled hardware
+     * pipeline.  Always 0 from serve() and at workers == 1.
      */
     Tick queueWait = 0;
     /**

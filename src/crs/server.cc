@@ -1,13 +1,10 @@
 #include "crs/server.hh"
 
 #include <algorithm>
-#include <deque>
-#include <future>
 #include <set>
 #include <thread>
 #include <utility>
 
-#include "support/alloc_counter.hh"
 #include "support/crc32.hh"
 #include "support/logging.hh"
 #include "term/canonical.hh"
@@ -80,10 +77,6 @@ const obs::HistogramDef kElapsed{"crs.elapsed_us", latencyBoundsUs(),
 const obs::HistogramDef kQueueWait{
     "crs.queue_wait_us", latencyBoundsUs(),
     "batch pipeline queue wait, simulated us"};
-const obs::GaugeDef kHeapAllocs{
-    "process.heap_allocs",
-    "heap allocations since process start "
-    "(-DCLARE_COUNT_ALLOCS=ON interpose)"};
 
 } // namespace
 
@@ -118,7 +111,6 @@ ClauseRetrievalServer::ClauseRetrievalServer(term::SymbolTable &symbols,
         scanShards_ = config_.fs1.paceScale > 0
             ? config_.workers
             : std::min(config_.workers, cores);
-        scanAhead_ = scanShards_;
     }
     metrics_.gauge(kWorkers).set(config_.workers);
     // L2/L3 exist only when asked for AND no fault oracle is armed: a
@@ -406,30 +398,6 @@ ClauseRetrievalServer::rawScan(const StoredPredicate &stored,
     return scan;
 }
 
-IndexScan
-ClauseRetrievalServer::cachedScan(const StoredPredicate &stored,
-                                  const term::PredicateId &pred,
-                                  const std::string &goal_key,
-                                  const TermArena &q_arena, TermRef goal,
-                                  const obs::Observer &obs,
-                                  obs::SpanId parent)
-{
-    scw::Signature sig = lookupSignature(goal_key, q_arena, goal, obs);
-    std::string skey = survivorKey(pred, sig, stored.generation);
-    if (std::shared_ptr<const fs1::Fs1Result> memo =
-            survivorCache_->find(skey, obs)) {
-        IndexScan scan;
-        // The mutable working copy is made here, outside the cache
-        // mutex — the memo itself is shared and never copied under it.
-        scan.fs1 = *memo;
-        scan.fromCache = true;
-        return scan;
-    }
-    IndexScan scan = rawScan(stored, sig, obs, parent);
-    survivorCache_->put(skey, scan.fs1);
-    return scan;
-}
-
 void
 ClauseRetrievalServer::serveGoalHit(const GoalCache::Entry &cached,
                                     RetrievalResponse &response)
@@ -537,48 +505,16 @@ ClauseRetrievalServer::serve(const RetrievalRequest &request)
     // Pin the MVCC version first: everything below — mode selection,
     // cache keys, the scan, unification — derives from this one
     // version, so a commit landing mid-request cannot tear the view.
-    std::shared_ptr<const StoredPredicate> pinned =
-        store_.predicateVersion(pred, request.snapshot);
-    if (pinned == nullptr)
-        clare_fatal("predicate %s/%u is not stored%s",
-                    symbols_.name(pred.functor).c_str(), pred.arity,
-                    request.snapshot ? " at the requested snapshot"
-                                     : "");
-    const StoredPredicate &stored = *pinned;
+    std::shared_ptr<const StoredPredicate> pinned = pinVersion(request, pred);
     response.mode = request.mode
         ? *request.mode
         : selectModeFor(*request.arena, request.goal,
-                        stored.ruleFraction);
+                        pinned->ruleFraction);
     obs::Observer ob = observer(request.trace);
     obs::ScopedSpan root(ob.tracer, "crs.retrieve");
     root.attr("mode", std::string(searchModeSlug(response.mode)));
-
-    const bool caching = cachingActive(request);
-    std::string goal_key;
-    if (caching) {
-        goal_key = goalKey(*request.arena, request.goal, response.mode,
-                           stored.generation);
-        if (std::shared_ptr<const GoalCache::Entry> cached =
-                goalCache_->find(goal_key)) {
-            serveGoalHit(*cached, response);
-            accountQuery(response, root);
-            return response;
-        }
-        ++metrics_.counter(kCacheMisses);
-    }
-
-    IndexScan scan;
-    if (usesFs1(response.mode)) {
-        scan = caching
-            ? cachedScan(stored, pred, goal_key, *request.arena,
-                         request.goal, ob, root.id())
-            : scanIndex(stored, *request.arena, request.goal, ob,
-                        root.id());
-    }
-    finishRetrieval(stored, request, std::move(scan), ob, root.id(),
-                    response);
-    if (caching)
-        maybeCacheGoal(goal_key, pred, response);
+    retrieve(*pinned, pred, request, nullptr, std::nullopt, ob, root.id(),
+             response);
     accountQuery(response, root);
     return response;
 }
@@ -595,333 +531,221 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
     ++metrics_.counter(kBatches);
     metrics_.gauge(kLastBatchSize).set(static_cast<double>(n));
 
-    // Resolve modes and predicates up front (cheap, read-only) so the
-    // pipeline stages below are pure scan/filter work.  Each request
-    // pins its MVCC predicate version here; the pins keep the versions
-    // (and their images) alive for the whole batch, so pool workers
-    // scanning ahead never race a concurrent commit.
-    std::vector<SearchMode> modes(n);
+    // Resolve predicates, MVCC pins and modes up front (cheap,
+    // read-only).  The pins keep every version (and its images) alive
+    // for the whole batch, so a group scanned at its first member
+    // still matches the version its later members pinned.
     std::vector<std::shared_ptr<const StoredPredicate>> pins(n);
-    std::vector<const StoredPredicate *> stored(n);
     std::vector<term::PredicateId> preds(n);
     bool any_tracing = false;
     for (std::size_t i = 0; i < n; ++i) {
         clare_assert(batch[i].arena != nullptr,
                      "serveBatch request %zu has no arena", i);
         preds[i] = goalPredicate(*batch[i].arena, batch[i].goal);
-        pins[i] = store_.predicateVersion(preds[i], batch[i].snapshot);
-        if (pins[i] == nullptr)
-            clare_fatal("predicate %s/%u is not stored%s",
-                        symbols_.name(preds[i].functor).c_str(),
-                        preds[i].arity,
-                        batch[i].snapshot
-                            ? " at the requested snapshot" : "");
-        stored[i] = pins[i].get();
-        modes[i] = batch[i].mode
+        pins[i] = pinVersion(batch[i], preds[i]);
+        out[i].mode = batch[i].mode
             ? *batch[i].mode
             : selectModeFor(*batch[i].arena, batch[i].goal,
-                            stored[i]->ruleFraction);
-        out[i].mode = modes[i];
+                            pins[i]->ruleFraction);
         any_tracing = any_tracing || batch[i].trace.enabled;
     }
 
-    // Cache preprocessing, on the calling thread in batch order so
-    // every memo lookup/fill is deterministic at any worker count.
-    // For each cacheable request: build its L3 key, predict whether
-    // the back half will serve it from cache (already resident, or an
-    // earlier request in this batch will fill it), and — for requests
-    // that will really scan — resolve the query signature through the
-    // L2a memo now, so pool workers never touch a cache.  Predicted
-    // hits skip the pool scan entirely; a misprediction (e.g. the
-    // filler overflowed and was not admitted) falls back to an inline
-    // scan in the back half, so results never depend on the guess.
-    std::vector<std::string> goal_keys(n);
-    std::vector<std::string> survivor_keys(n);
-    std::vector<std::optional<scw::Signature>> sigs(n);
-    std::vector<char> caching(n, 0);
-    std::vector<char> predicted(n, 0);
-    if (goalCache_ != nullptr) {
-        std::set<std::string> batch_goal_keys;
-        std::set<std::string> batch_survivor_keys;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!cachingActive(batch[i]))
-                continue;
-            caching[i] = 1;
-            goal_keys[i] = goalKey(*batch[i].arena, batch[i].goal,
-                                   modes[i], stored[i]->generation);
-            if (goalCache_->contains(goal_keys[i]) ||
-                batch_goal_keys.count(goal_keys[i])) {
-                predicted[i] = 1;
-            }
-            batch_goal_keys.insert(goal_keys[i]);
-            if (predicted[i] || !usesFs1(modes[i]))
-                continue;
-            sigs[i] = lookupSignature(goal_keys[i], *batch[i].arena,
-                                      batch[i].goal,
-                                      observer(batch[i].trace));
-            survivor_keys[i] = survivorKey(preds[i], *sigs[i],
-                                           stored[i]->generation);
-            if (survivorCache_->contains(survivor_keys[i]) ||
-                batch_survivor_keys.count(survivor_keys[i])) {
-                predicted[i] = 1;
-            }
-            batch_survivor_keys.insert(survivor_keys[i]);
-        }
-    }
-
-    // One batch-level span groups every scan and per-query root so
-    // the exported trace stays a single tree even though scans run on
-    // pool workers ahead of their query's back half.
+    // One batch-level span parents every per-query root and every
+    // group scan, so the exported trace stays a single tree.
     obs::ScopedSpan batch_span(any_tracing ? &tracer_ : nullptr,
                                "crs.batch");
     batch_span.attr("requests", static_cast<std::uint64_t>(n));
 
-    auto scan = [&](std::size_t i) -> IndexScan {
-        if (!usesFs1(modes[i]) || predicted[i])
-            return {};
-        if (caching[i]) {
-            // The signature was resolved in the preprocess pass; the
-            // scan itself is pure (index, signature) work, safe on a
-            // pool worker.  Survivor-memo admission happens on the
-            // calling thread, in finish_one.
-            return rawScan(*stored[i], *sigs[i],
-                           observer(batch[i].trace), batch_span.id());
-        }
-        return scanIndex(*stored[i], *batch[i].arena, batch[i].goal,
-                         observer(batch[i].trace), batch_span.id());
-    };
-
     // Multi-query batch scanning: group FS1-mode goals of the same
-    // predicate (up to batchWidth, in batch order) so one pass over
-    // the predicate's bit-sliced plane answers the whole group.
-    // Predicted cache hits stay ungrouped — they are expected to skip
-    // the scan entirely — and fault-armed runs group nothing, since
-    // scanIndex() models per-query fault exposure.  Each grouped
-    // query's Fs1Result is bit-identical to its own scan, so caching,
-    // queue-wait modeling, and responses are unaffected.
+    // pinned version (up to batchWidth, in batch order) so one pass
+    // over the plane answers the whole group.  Predicted cache hits
+    // stay ungrouped — they are expected to skip the scan entirely —
+    // and fault-armed runs group nothing, since scanIndex() models
+    // per-query fault exposure.  Each grouped query's Fs1Result is
+    // bit-identical to its own scan, so responses are unaffected.
     constexpr std::size_t kNoGroup = ~std::size_t{0};
-    const bool grouping =
-        config_.batchWidth > 1 && config_.faults == nullptr;
     std::vector<std::size_t> group_of(n, kNoGroup);
     std::vector<std::vector<std::size_t>> groups;
-    if (grouping) {
-        // Keyed by the pinned version, not the predicate id: two
-        // requests of one predicate can pin different MVCC versions
-        // (snapshot pins, or a commit landing between their resolve
-        // steps), and a group must share one index.
+    std::vector<std::optional<scw::Signature>> sigs(n);
+    if (config_.batchWidth > 1 && config_.faults == nullptr) {
+        // Predict hits on the calling thread, in batch order: a goal
+        // already resident in L3 or filled by an earlier request of
+        // this batch, or a scan whose survivor memo is resident or
+        // filled earlier.  The signatures resolved here are handed to
+        // retrieve() so each request consults the L2a memo once.
+        std::set<std::string> batch_goal_keys;
+        std::set<std::string> batch_survivor_keys;
         std::map<const StoredPredicate *, std::size_t> open;
         for (std::size_t i = 0; i < n; ++i) {
-            if (!usesFs1(modes[i]) || predicted[i])
+            if (!usesFs1(out[i].mode))
                 continue;
+            if (cachingActive(batch[i])) {
+                std::string gkey =
+                    goalKey(*batch[i].arena, batch[i].goal,
+                            out[i].mode, pins[i]->generation);
+                if (goalCache_->contains(gkey) ||
+                    !batch_goal_keys.insert(gkey).second)
+                    continue;
+                sigs[i] = lookupSignature(gkey, *batch[i].arena,
+                                          batch[i].goal,
+                                          observer(batch[i].trace));
+                std::string skey = survivorKey(preds[i], *sigs[i],
+                                               pins[i]->generation);
+                if (survivorCache_->contains(skey) ||
+                    !batch_survivor_keys.insert(skey).second)
+                    continue;
+            }
             // A live (base + delta) version routes through the split
             // scan, not the batch plane pass: the base plane alone
             // does not cover the composite file.
-            if (stored[i]->deltaSliced != nullptr)
+            if (pins[i]->deltaSliced != nullptr)
                 continue;
-            auto it = open.find(stored[i]);
+            // Keyed by the pinned version, not the predicate id: two
+            // requests of one predicate can pin different MVCC
+            // versions, and a group must share one index.
+            auto it = open.find(pins[i].get());
             if (it == open.end() ||
                 groups[it->second].size() >= config_.batchWidth) {
                 groups.emplace_back();
-                it = open.insert_or_assign(stored[i],
+                it = open.insert_or_assign(pins[i].get(),
                                            groups.size() - 1).first;
             }
             group_of[i] = it->second;
             groups[it->second].push_back(i);
         }
     }
-    auto scan_group = [&](std::size_t g) -> std::vector<IndexScan> {
-        const std::vector<std::size_t> &members = groups[g];
-        const StoredPredicate &sp = *stored[members.front()];
-        std::vector<scw::Signature> qsigs;
-        std::vector<obs::Observer> obss;
-        qsigs.reserve(members.size());
-        obss.reserve(members.size());
-        for (std::size_t m : members) {
-            qsigs.push_back(sigs[m]
-                            ? *sigs[m]
-                            : store_.generator().encode(*batch[m].arena,
-                                                        batch[m].goal));
-            obss.push_back(observer(batch[m].trace));
+    // Groups are scanned lazily, when their first member is served,
+    // and deliver members their scans in batch order.
+    std::vector<std::vector<IndexScan>> group_scans(groups.size());
+    std::vector<std::size_t> group_next(groups.size(), 0);
+    auto take_group_scan = [&](std::size_t i) -> std::optional<IndexScan> {
+        const std::size_t g = group_of[i];
+        if (g == kNoGroup)
+            return std::nullopt;
+        if (group_scans[g].empty()) {
+            const StoredPredicate &sp = *pins[groups[g].front()];
+            std::vector<scw::Signature> qsigs;
+            std::vector<obs::Observer> obss;
+            for (std::size_t m : groups[g]) {
+                qsigs.push_back(sigs[m] ? *sigs[m]
+                                        : store_.generator().encode(
+                                              *batch[m].arena,
+                                              batch[m].goal));
+                obss.push_back(observer(batch[m].trace));
+            }
+            std::vector<fs1::Fs1Result> results = fs1_.searchBatch(
+                sp.index, sp.sliced.get(), qsigs, obss, batch_span.id());
+            group_scans[g].resize(results.size());
+            for (std::size_t k = 0; k < results.size(); ++k)
+                group_scans[g][k].fs1 = std::move(results[k]);
         }
-        std::vector<fs1::Fs1Result> results = fs1_.searchBatch(
-            sp.index, sp.sliced.get(), qsigs, obss, batch_span.id());
-        std::vector<IndexScan> scans(members.size());
-        for (std::size_t k = 0; k < members.size(); ++k)
-            scans[k].fs1 = std::move(results[k]);
-        return scans;
+        return std::move(group_scans[g][group_next[g]++]);
     };
 
-    // Modeled pipeline timeline: the FS1 hardware scans the batch
-    // serially while the (serial) host back half drains finished
-    // scans; a scan that finishes before the back half is free waits
-    // in queue.  This is the per-query queueWait — simulated ticks,
-    // deterministic, and independent of the host's real thread
-    // scheduling.  elapsed stays the query's own service time, so the
-    // sequential and pipelined paths agree bit-for-bit on it.
+    // Modeled pipeline timeline (workers > 1): the FS1 hardware scans
+    // the batch serially while the serial host back half drains
+    // finished scans; a scan that finishes before the back half is
+    // free waits in queue.  This is the per-query queueWait —
+    // simulated ticks, derived from each response's own stages, so it
+    // never depends on host scheduling.  elapsed stays the query's own
+    // service time, identical to serve().
+    const bool model_queue = config_.workers > 1;
     Tick fs1_free = 0;
     Tick back_free = 0;
-    auto finish_one = [&](std::size_t i, IndexScan scanned) {
-        obs::ScopedSpan root(batch[i].trace.enabled ? &tracer_ : nullptr,
-                             "crs.retrieve", batch_span.id());
-        root.attr("mode", std::string(searchModeSlug(modes[i])));
-        root.attr("batch_index", static_cast<std::uint64_t>(i));
-        RetrievalRequest request = batch[i];
-        request.mode = modes[i];
+    for (std::size_t i = 0; i < n; ++i) {
+        std::optional<IndexScan> grouped = take_group_scan(i);
         obs::Observer ob = observer(batch[i].trace);
-
-        bool goal_hit = false;
-        if (caching[i]) {
-            if (std::shared_ptr<const GoalCache::Entry> cached =
-                    goalCache_->find(goal_keys[i])) {
-                serveGoalHit(*cached, out[i]);
-                goal_hit = true;
-            } else {
-                ++metrics_.counter(kCacheMisses);
-                if (usesFs1(modes[i])) {
-                    if (!sigs[i]) {
-                        // Mispredicted L3 hit: the preprocess pass
-                        // skipped signature resolution; do it now.
-                        sigs[i] = lookupSignature(goal_keys[i],
-                                                  *batch[i].arena,
-                                                  batch[i].goal, ob);
-                        survivor_keys[i] = survivorKey(
-                            preds[i], *sigs[i], stored[i]->generation);
-                    }
-                    if (std::shared_ptr<const fs1::Fs1Result> memo =
-                            survivorCache_->find(survivor_keys[i],
-                                                 ob)) {
-                        // Replay the memo even when a (predicted-miss)
-                        // pool scan already ran: timing must not
-                        // depend on the prediction, only on the cache
-                        // state the back half observes in batch order.
-                        scanned = IndexScan{};
-                        scanned.fs1 = *memo;
-                        scanned.fromCache = true;
-                    } else {
-                        if (predicted[i]) {
-                            // Mispredicted hit: no pool scan ran.
-                            scanned = rawScan(*stored[i], *sigs[i], ob,
-                                              batch_span.id());
-                        }
-                        survivorCache_->put(survivor_keys[i],
-                                            scanned.fs1);
-                    }
-                }
-            }
-        }
-        if (!goal_hit) {
-            finishRetrieval(*stored[i], request, std::move(scanned),
-                            ob, root.id(), out[i]);
-            if (caching[i])
-                maybeCacheGoal(goal_keys[i], preds[i], out[i]);
-        }
-        if (pool_) {
-            Tick scan_done = fs1_free + out[i].breakdown.indexTime;
+        obs::ScopedSpan root(ob.tracer, "crs.retrieve", batch_span.id());
+        root.attr("mode", std::string(searchModeSlug(out[i].mode)));
+        root.attr("batch_index", static_cast<std::uint64_t>(i));
+        retrieve(*pins[i], preds[i], batch[i],
+                 sigs[i] ? &*sigs[i] : nullptr, std::move(grouped), ob,
+                 root.id(), out[i]);
+        if (model_queue) {
+            StageBreakdown &stages = out[i].breakdown;
+            Tick scan_done = fs1_free + stages.indexTime;
             fs1_free = scan_done;
             Tick back_start = std::max(scan_done, back_free);
-            out[i].breakdown.queueWait = back_start - scan_done;
+            stages.queueWait = back_start - scan_done;
             // A nonzero queue wait diverges from the baked blob
             // (cached entries always carry queueWait == 0), so the
             // fast-path handle must not survive — a wire sender would
             // otherwise ship stale ticks.
-            if (out[i].breakdown.queueWait != 0)
+            if (stages.queueWait != 0)
                 out[i].replayBlob.reset();
-            back_free = back_start + out[i].breakdown.cacheTime +
-                out[i].breakdown.filterTime +
-                out[i].breakdown.hostUnifyTime;
+            back_free = back_start + stages.cacheTime +
+                stages.filterTime + stages.hostUnifyTime;
         }
         accountQuery(out[i], root);
-    };
-
-    if (!pool_) {
-        // Groups are scanned lazily, when their first member is
-        // finished, and deliver members in batch order.
-        std::vector<std::vector<IndexScan>> group_scans(groups.size());
-        std::vector<std::size_t> group_next(groups.size(), 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (group_of[i] != kNoGroup) {
-                const std::size_t g = group_of[i];
-                if (group_scans[g].empty())
-                    group_scans[g] = scan_group(g);
-                finish_one(i,
-                           std::move(group_scans[g][group_next[g]++]));
-            } else {
-                finish_one(i, scan(i));
-            }
-        }
-        return out;
-    }
-
-    // Pipeline: while the calling thread filters and unifies request
-    // k, the pool scans the indexes of the next requests (the paper's
-    // FS1-ahead-of-FS2 overlap).  Up to `workers` scans are in flight
-    // so their device/disk waits overlap each other, not just the
-    // back half.  Requests complete in batch order regardless.
-    //
-    // The units of work are scan groups (a singleton for every
-    // ungrouped request, including no-op scans): a unit is queued at
-    // its first member's batch position and scatters one IndexScan per
-    // member, so grouped members later in the batch find theirs ready.
-    struct ScanUnit
-    {
-        std::size_t first;                 ///< batch index of member 0
-        std::size_t group;                 ///< kNoGroup for singletons
-    };
-    std::vector<ScanUnit> units;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (group_of[i] == kNoGroup)
-            units.push_back({i, kNoGroup});
-        else if (groups[group_of[i]].front() == i)
-            units.push_back({i, group_of[i]});
-    }
-    std::vector<std::optional<IndexScan>> ready(n);
-    std::deque<std::pair<ScanUnit, std::future<std::vector<IndexScan>>>>
-        pending;
-    std::size_t next = 0;
-    auto refill = [&] {
-        while (next < units.size() && pending.size() < scanAhead_) {
-            const ScanUnit unit = units[next++];
-            pending.emplace_back(
-                unit,
-                pool_->async([&scan, &scan_group, unit] {
-                    if (unit.group == kNoGroup) {
-                        std::vector<IndexScan> one;
-                        one.push_back(scan(unit.first));
-                        return one;
-                    }
-                    return scan_group(unit.group);
-                }));
-        }
-    };
-    refill();
-    try {
-        for (std::size_t i = 0; i < n; ++i) {
-            while (!ready[i]) {
-                auto [unit, future] = std::move(pending.front());
-                pending.pop_front();
-                std::vector<IndexScan> scans = future.get();
-                refill();
-                if (unit.group == kNoGroup) {
-                    ready[unit.first] = std::move(scans.front());
-                } else {
-                    const std::vector<std::size_t> &members =
-                        groups[unit.group];
-                    for (std::size_t k = 0; k < members.size(); ++k)
-                        ready[members[k]] = std::move(scans[k]);
-                }
-            }
-            finish_one(i, std::move(*ready[i]));
-            ready[i].reset();
-        }
-    } catch (...) {
-        // In-flight scans reference locals; drain them before the
-        // locals go out of scope.
-        for (auto &p : pending)
-            if (p.second.valid())
-                p.second.wait();
-        throw;
     }
     return out;
+}
+
+std::shared_ptr<const StoredPredicate>
+ClauseRetrievalServer::pinVersion(const RetrievalRequest &request,
+                                  const term::PredicateId &pred) const
+{
+    std::shared_ptr<const StoredPredicate> pinned =
+        store_.predicateVersion(pred, request.snapshot);
+    if (pinned == nullptr)
+        clare_fatal("predicate %s/%u is not stored%s",
+                    symbols_.name(pred.functor).c_str(), pred.arity,
+                    request.snapshot ? " at the requested snapshot" : "");
+    return pinned;
+}
+
+void
+ClauseRetrievalServer::retrieve(const StoredPredicate &stored,
+                                const term::PredicateId &pred,
+                                const RetrievalRequest &request,
+                                const scw::Signature *sig,
+                                std::optional<IndexScan> grouped,
+                                const obs::Observer &ob, obs::SpanId root,
+                                RetrievalResponse &response)
+{
+    const bool caching = cachingActive(request);
+    std::string goal_key;
+    if (caching) {
+        goal_key = goalKey(*request.arena, request.goal, response.mode,
+                           stored.generation);
+        if (std::shared_ptr<const GoalCache::Entry> cached =
+                goalCache_->find(goal_key)) {
+            serveGoalHit(*cached, response);
+            return;
+        }
+        ++metrics_.counter(kCacheMisses);
+    }
+
+    IndexScan scan;
+    if (usesFs1(response.mode) && caching) {
+        scw::Signature looked_up;
+        if (sig == nullptr) {
+            looked_up = lookupSignature(goal_key, *request.arena,
+                                        request.goal, ob);
+            sig = &looked_up;
+        }
+        std::string skey = survivorKey(pred, *sig, stored.generation);
+        if (std::shared_ptr<const fs1::Fs1Result> memo =
+                survivorCache_->find(skey, ob)) {
+            // The mutable working copy is made here, outside the cache
+            // mutex — the memo itself is shared and never copied under
+            // it.  A group scan taken for this request is dropped:
+            // timing follows the cache state, not the grouping.
+            scan.fs1 = *memo;
+            scan.fromCache = true;
+        } else {
+            scan = grouped ? std::move(*grouped)
+                           : rawScan(stored, *sig, ob, root);
+            survivorCache_->put(skey, scan.fs1);
+        }
+    } else if (usesFs1(response.mode)) {
+        scan = grouped ? std::move(*grouped)
+                       : scanIndex(stored, *request.arena, request.goal,
+                                   ob, root);
+    }
+    finishRetrieval(stored, request, std::move(scan), ob, root, response);
+    if (caching)
+        maybeCacheGoal(goal_key, pred, response);
 }
 
 // ---------------------------------------------------------------------
@@ -1213,13 +1037,6 @@ ClauseRetrievalServer::accountQuery(RetrievalResponse &response,
         metrics_.histogram(kQueueWait).record(
             static_cast<double>(response.breakdown.queueWait) /
             kTicksPerUs);
-    // Surface the operator-new interpose through the registry so a
-    // metrics dump carries the allocation story next to the latency
-    // one.  Registered only when the hook is live: other builds keep
-    // their dumps byte-identical to pre-interpose binaries.
-    if (support::allocCountingEnabled())
-        metrics_.gauge(kHeapAllocs).set(
-            static_cast<double>(support::allocationCount()));
 
     if (root.active()) {
         response.traceSpan = root.id();

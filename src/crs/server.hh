@@ -18,18 +18,19 @@
  * the real unifier so that false-drop accounting is exact.
  *
  * The front door is the unified request/response API (crs/api.hh):
- * serve() retrieves one RetrievalRequest, serveBatch() pipelines a
- * batch, and both share one accounting path that fills the response's
+ * serve() retrieves one RetrievalRequest, serveBatch() serves a batch
+ * in order, and both share one accounting path that fills the response's
  * StageBreakdown.  The same pair is the *only* entry: networked
  * callers reach it through net::NetServer/NetClient, whose responses
  * are bit-identical to a local call.
  *
- * With `CrsConfig::workers > 1` the server runs a parallel pipeline
- * mirroring the paper's FS1/FS2 overlap: the FS1 index scan is sharded
- * across a worker pool, and serveBatch() overlaps the FS1 scan of
- * query k+1 with the FS2 filtering and host unification of query k.
- * Results are merged in clause/batch order, so candidate and answer
- * sets are bit-identical to the sequential path at any worker count.
+ * Both run one private per-request body (L3 consult, FS1 stage,
+ * back half, L3 admission); serveBatch() runs it for each request in
+ * batch order on the calling thread.  With `CrsConfig::workers > 1`
+ * the FS1 index scan is sharded across a worker pool, and serveBatch()
+ * models the paper's FS1/FS2 hardware overlap as each item's
+ * breakdown.queueWait.  Shards merge back in clause order, so
+ * candidate and answer sets are bit-identical at any worker count.
  *
  * Every server owns an obs::Tracer (per-request opt-in spans) and an
  * obs::MetricsRegistry (always-on counters/histograms) wired through
@@ -120,11 +121,11 @@ struct CrsConfig
     CacheConfig cache;
 
     /**
-     * Total threads the retrieval pipeline may use (including the
-     * calling thread).  1 selects the sequential path; N > 1 shards
-     * the FS1 index scan N ways and enables the serveBatch()
-     * FS1/FS2 overlap.  Candidate and answer sets are identical at
-     * every setting.
+     * Total threads an FS1 index scan may use (including the calling
+     * thread).  N > 1 shards each scan N ways and turns on the modeled
+     * FS1/back-half queue of serveBatch() (breakdown.queueWait); 1
+     * scans unsharded and leaves queueWait at 0.  Candidate and answer
+     * sets are identical at every setting.
      */
     std::uint32_t workers = 1;
 
@@ -228,24 +229,27 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     RetrievalResponse serve(const RetrievalRequest &request);
 
     /**
-     * Batched front door: retrieve every request, in order.  With
-     * workers > 1 the FS1 index scan of request k+1 is pipelined with
-     * the FS2 filtering and host unification of request k; candidates,
-     * answers, and elapsed are identical to calling serve() in a loop,
-     * and each response's breakdown.queueWait reports the simulated
-     * time its finished FS1 scan waited for the serial back half.
+     * Batched front door: retrieve every request, one after another
+     * in batch order, through the same per-request body as serve();
+     * candidates, answers, and elapsed are identical to calling
+     * serve() in a loop.  With batchWidth > 1, FS1-mode goals of one
+     * predicate share a plane pass (see CrsConfig::batchWidth).  With
+     * workers > 1 each response's breakdown.queueWait reports the
+     * simulated time its finished FS1 scan waited for the serial back
+     * half of the modeled hardware pipeline.
      *
      * Batch split contract (what the sharded scatter/gather relies
-     * on): all retrieval state — caches, MVCC version pins, batch
-     * cache prediction — is keyed per predicate, so any partition of
-     * a batch into sub-batches that preserves the relative order of
-     * same-predicate requests yields per-item responses identical to
-     * serving the whole batch, provided the pipeline is sequential
-     * (workers == 1, the serving default, where the modeled queue is
-     * empty and queueWait == 0 for every item).  With workers > 1 the
-     * modeled FS1/back-half queue couples items *across* predicates,
-     * so a sharded deployment that must stay bit-identical to a local
-     * serveBatch() pins sequential backends.
+     * on): all retrieval state — caches, MVCC version pins, the
+     * predicted cache hits that keep a goal out of a scan group — is
+     * keyed per predicate, so any partition of a batch into
+     * sub-batches that preserves the relative order of same-predicate
+     * requests yields per-item responses identical to serving the
+     * whole batch, provided workers == 1 (the serving default, where
+     * the modeled queue is off and queueWait == 0 for every item).
+     * With workers > 1 the modeled FS1/back-half queue couples items
+     * *across* predicates, so a sharded deployment that must stay
+     * bit-identical to a local serveBatch() pins workers == 1
+     * backends.
      */
     std::vector<RetrievalResponse>
     serveBatch(const std::vector<RetrievalRequest> &batch);
@@ -296,7 +300,7 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     CrsConfig config_;
     /** Persistent FS1 engine, shared across retrievals and threads. */
     fs1::Fs1Engine fs1_;
-    /** Worker pool; null when workers <= 1 (sequential path). */
+    /** FS1 shard pool; null when workers <= 1 (unsharded scans). */
     std::unique_ptr<support::ThreadPool> pool_;
     /**
      * FS1 scan fan-out: config workers, clamped to the host's core
@@ -306,13 +310,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
      * (contiguous shards merge back into sequential order).
      */
     std::uint32_t scanShards_ = 1;
-    /**
-     * serveBatch() lookahead: scans in flight at once.  Sized like
-     * scanShards_ — full worker width for paced device-wait scans
-     * (waits overlap on any core count), clamped to the core count
-     * for CPU-bound scans (oversubscription only thrashes).
-     */
-    std::uint32_t scanAhead_ = 1;
 
     obs::Tracer tracer_;
     obs::MetricsRegistry metrics_;
@@ -416,18 +413,6 @@ class ClauseRetrievalServer : public CacheInvalidationSink
                       const obs::Observer &obs, obs::SpanId parent) const;
 
     /**
-     * Resolve the FS1 stage of a cacheable request: L2a signature
-     * memo, L2b survivor memo, raw scan + fill on a miss.  Calling
-     * thread only.
-     */
-    IndexScan cachedScan(const StoredPredicate &stored,
-                         const term::PredicateId &pred,
-                         const std::string &goal_key,
-                         const term::TermArena &q_arena,
-                         term::TermRef goal, const obs::Observer &obs,
-                         obs::SpanId parent);
-
-    /**
      * Build a response from an L3 hit.  The entry is stored already
      * hit-shaped (payload verbatim, breakdown reduced to the modeled
      * goal-hit cost), so this is one copy of the shared payload plus
@@ -441,6 +426,28 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     void maybeCacheGoal(const std::string &goal_key,
                         const term::PredicateId &pred,
                         const RetrievalResponse &response);
+
+    /** Pin the request's MVCC predicate version (fatal if absent). */
+    std::shared_ptr<const StoredPredicate>
+    pinVersion(const RetrievalRequest &request,
+               const term::PredicateId &pred) const;
+
+    /**
+     * The per-request body of serve() and serveBatch(), for a request
+     * whose response.mode is resolved: the L3 consult (a hit ends
+     * here), the FS1 stage (with caches: the L2a signature — @p sig
+     * when the caller resolved it — then the L2b survivor memo, else
+     * @p grouped or a fresh scan, admitted to the memo; without:
+     * @p grouped or scanIndex()), finishRetrieval(), and L3 admission.
+     * @p grouped is this request's share of a batch group scan.
+     */
+    void retrieve(const StoredPredicate &stored,
+                  const term::PredicateId &pred,
+                  const RetrievalRequest &request,
+                  const scw::Signature *sig,
+                  std::optional<IndexScan> grouped,
+                  const obs::Observer &ob, obs::SpanId root,
+                  RetrievalResponse &response);
 
     /**
      * Everything after the FS1 stage: degradation of unhealthy index

@@ -52,7 +52,7 @@ struct Fs1Config
      * When > 0, each scan shard *sleeps* its modeled device busy time
      * divided by this factor (paced replay): the engine behaves like
      * the real FS1 hardware the host waits on rather than computes.
-     * Sharded and pipelined scans then overlap device waits, which
+     * Sharded scans then overlap device waits, which
      * yields genuine wall-clock speedup even on a single host core.
      * Simulated Ticks are unaffected.  0 (default) disables pacing.
      */

@@ -1,5 +1,8 @@
 #include "support/thread_pool.hh"
 
+#include <algorithm>
+#include <memory>
+
 namespace clare::support {
 
 /** Shared progress of one parallelFor: index cursor + completion. */

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -616,6 +617,118 @@ TEST_F(ServerCacheTest, BatchResponsesIdenticalAtAnyWorkerCount)
         }
         // Repeated goals were served from cache in both runs.
         EXPECT_GT(counter(*server, "crs.cache.hits"), 0u);
+    }
+}
+
+TEST_F(ServerCacheTest, BatchQueueWaitFollowsModeledPipeline)
+{
+    // Every goal in all four modes, twice: the second round hits L3,
+    // and within a round a goal's TwoStage scan replays the survivor
+    // memo its Fs1Only scan filled.
+    const crs::SearchMode kModes[] = {
+        crs::SearchMode::SoftwareOnly, crs::SearchMode::Fs1Only,
+        crs::SearchMode::Fs2Only, crs::SearchMode::TwoStage};
+    std::vector<crs::RetrievalRequest> batch;
+    for (int round = 0; round < 2; ++round)
+        for (const term::ParsedTerm &goal : goals)
+            for (crs::SearchMode mode : kModes)
+                batch.push_back(request(goal, mode));
+
+    for (std::uint32_t workers : {2u, 4u}) {
+        for (std::uint32_t width : {1u, 4u}) {
+            SCOPED_TRACE("workers " + std::to_string(workers) +
+                         " batchWidth " + std::to_string(width));
+            crs::CrsConfig config = cachedConfig();
+            config.workers = workers;
+            config.batchWidth = width;
+            auto server = makeServer(config);
+            std::vector<crs::RetrievalResponse> out =
+                server->serveBatch(batch);
+            ASSERT_EQ(out.size(), batch.size());
+
+            // The modeled hardware pipeline: FS1 scans back to back,
+            // the host back half drains them in batch order.
+            Tick fs1_free = 0;
+            Tick back_free = 0;
+            Tick total_wait = 0;
+            for (std::size_t i = 0; i < out.size(); ++i) {
+                const crs::StageBreakdown &b = out[i].breakdown;
+                Tick scan_done = fs1_free + b.indexTime;
+                fs1_free = scan_done;
+                Tick back_start = std::max(scan_done, back_free);
+                EXPECT_EQ(b.queueWait, back_start - scan_done)
+                    << "item " << i;
+                back_free = back_start + b.cacheTime + b.filterTime +
+                    b.hostUnifyTime;
+                if (b.queueWait != 0) {
+                    EXPECT_EQ(out[i].replayBlob, nullptr)
+                        << "item " << i;
+                }
+                total_wait += b.queueWait;
+            }
+            EXPECT_GT(total_wait, 0u);
+            EXPECT_GT(counter(*server, "crs.cache.hits"), 0u);
+            EXPECT_GT(counter(*server, "fs1.cache.survivor_hits"), 0u);
+        }
+    }
+}
+
+TEST_F(ServerCacheTest, BatchAtCapacityOneMatchesServeLoop)
+{
+    // One-entry caches evict between a request and its repeat, so a
+    // hit predicted from earlier in the batch is gone by its turn: B
+    // evicts A's goal entry, and B's scan evicts A's survivor memo
+    // before A is served again in another FS1 mode.  The overflowing
+    // goal is never admitted to L3, so its repeat recomputes.
+    term::ParsedTerm overflow = reader->parseTerm("p0(X, Y)");
+    const crs::SearchMode two = crs::SearchMode::TwoStage;
+    const crs::SearchMode fs1 = crs::SearchMode::Fs1Only;
+    const std::vector<crs::RetrievalRequest> batch = {
+        request(goals[0]),       request(goals[1]),
+        request(goals[0]),       request(goals[2]),
+        request(goals[0]),       request(goals[1], fs1),
+        request(goals[3], two),  request(goals[1], two),
+        request(overflow, two),  request(overflow, two),
+        request(goals[0]),       request(overflow, two),
+    };
+
+    crs::CrsConfig base = cachedConfig();
+    base.cache.goalCapacity = 1;
+    base.cache.survivorCapacity = 1;
+    auto loop_server = makeServer(base);
+    std::vector<crs::RetrievalResponse> expected;
+    for (const crs::RetrievalRequest &r : batch)
+        expected.push_back(loop_server->serve(r));
+    ASSERT_TRUE(expected[8].resultOverflow);
+    EXPECT_NE(expected[9].breakdown.filterTime, 0u)
+        << "an overflowed response must not be replayed from L3";
+
+    for (std::uint32_t workers : {1u, 4u}) {
+        for (std::uint32_t width : {1u, 4u}) {
+            SCOPED_TRACE("workers " + std::to_string(workers) +
+                         " batchWidth " + std::to_string(width));
+            crs::CrsConfig config = base;
+            config.workers = workers;
+            config.batchWidth = width;
+            auto server = makeServer(config);
+            std::vector<crs::RetrievalResponse> got =
+                server->serveBatch(batch);
+            ASSERT_EQ(got.size(), expected.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                SCOPED_TRACE("item " + std::to_string(i));
+                expectSamePayload(expected[i], got[i]);
+                EXPECT_EQ(expected[i].breakdown.serviceTime(),
+                          got[i].breakdown.serviceTime());
+                EXPECT_EQ(expected[i].elapsed, got[i].elapsed);
+                if (workers == 1) {
+                    EXPECT_EQ(got[i].breakdown.queueWait, 0u);
+                }
+            }
+            EXPECT_EQ(counter(*server, "crs.cache.hits"),
+                      counter(*loop_server, "crs.cache.hits"));
+            EXPECT_EQ(counter(*server, "fs1.cache.survivor_hits"),
+                      counter(*loop_server, "fs1.cache.survivor_hits"));
+        }
     }
 }
 

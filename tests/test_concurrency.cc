@@ -72,32 +72,41 @@ TEST(ThreadPoolTest, ZeroWorkersRunsInline)
     int calls = 0;
     pool.parallelFor(5, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 5);
-    EXPECT_EQ(pool.async([] { return 42; }).get(), 42);
 }
 
-TEST(ThreadPoolTest, AsyncReturnsValues)
+TEST(ThreadPoolTest, ConcurrentParallelForOnBusyPoolFinishes)
 {
-    support::ThreadPool pool(2);
-    auto a = pool.async([] { return 7; });
-    auto b = pool.async([] { return std::string("ok"); });
-    EXPECT_EQ(a.get(), 7);
-    EXPECT_EQ(b.get(), "ok");
-}
-
-TEST(ThreadPoolTest, NestedParallelForFromWorkerDoesNotDeadlock)
-{
-    // The serveBatch pipeline runs sharded scans from inside a pool
-    // task; the construct must complete even when the nested loop's
-    // helper jobs can never be picked up by another worker.
+    // Concurrent serve() callers shard their scans on one shared pool;
+    // each parallelFor must complete even while every worker is busy,
+    // because its calling thread drains the indices itself.
     support::ThreadPool pool(1);
-    auto fut = pool.async([&pool] {
-        std::atomic<int> n{0};
-        pool.parallelFor(8, [&](std::size_t) {
-            n.fetch_add(1, std::memory_order_relaxed);
+    std::atomic<bool> release{false};
+    std::atomic<int> entered{0};
+    // Both indices block, so the blocker thread and the pool's only
+    // worker each hold one until released.
+    std::thread blocker([&] {
+        pool.parallelFor(2, [&](std::size_t) {
+            entered.fetch_add(1);
+            while (!release.load())
+                std::this_thread::yield();
         });
-        return n.load();
     });
-    EXPECT_EQ(fut.get(), 8);
+    while (entered.load() < 2)
+        std::this_thread::yield();
+    std::atomic<int> n{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 2; ++t) {
+        callers.emplace_back([&] {
+            pool.parallelFor(8, [&](std::size_t) {
+                n.fetch_add(1, std::memory_order_relaxed);
+            });
+        });
+    }
+    for (std::thread &c : callers)
+        c.join();
+    EXPECT_EQ(n.load(), 16);
+    release.store(true);
+    blocker.join();
 }
 
 // ---------------------------------------------------------------------
