@@ -159,7 +159,6 @@ main(int argc, char **argv)
             builder.add(program.clause(i));
         storage::ClauseFile file = builder.finish();
         storage::DiskModel disk(storage::DiskGeometry::fujitsuM2351A());
-        disk.load(file.image());
 
         workload::QuerySpec qspec;
         qspec.boundArgProb = 0.4;
@@ -221,7 +220,6 @@ main(int argc, char **argv)
             storage::DiskGeometry::fujitsuM2351A();
         geometry.transferRate = mbps * 1e6;
         storage::DiskModel disk(geometry);
-        disk.load(file.image());
 
         fs2::Fs2Engine engine;
         engine.setQuery(q.arena, q.goal);

@@ -23,12 +23,31 @@ ASAN_BUILD="${2:-build-asan}"
 TSAN_BUILD="${3:-build-tsan}"
 
 echo "== tier-1: default build + full ctest =="
-# Allocation counting is on in the default build so the arena suite's
-# steady-state-allocations assertion actually runs (it skips itself
+# Allocation counting is on in the default build so the arena and FS2
+# suites' allocation assertions actually run (they skip themselves
 # when the interpose is compiled out, e.g. under the sanitizers).
 cmake -B "$BUILD" -S . -DCLARE_COUNT_ALLOCS=ON
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j
+
+echo "== tier-1: allocation assertions ran =="
+# The zero-allocation assertions (test_fs2's per-clause FS2 search,
+# test_arena's warm serving loop) skip themselves when the counting
+# hook is compiled out, and ctest reports a skipped test as passed.
+# They only prove something in this build, so a skip here is a
+# failure.
+for check in \
+    test_fs2:Fs2EngineTest.SearchAllocationsDoNotGrowWithClauseCount \
+    test_arena:ZeroCopyServingTest.SteadyStateWarmHitsAllocateAlmostNothing
+do
+    out=$("$BUILD/tests/${check%%:*}" --gtest_filter="${check#*:}")
+    if ! grep -q '^\[       OK \]' <<<"$out" ||
+        grep -q '^\[  SKIPPED \]' <<<"$out"; then
+        echo "$out" >&2
+        echo "allocation assertion ${check#*:} did not run" >&2
+        exit 1
+    fi
+done
 
 echo "== tier-1: no oracle code in the production binaries =="
 # The reference paths (PLA plane, row-major scan, selector-level TUE,

@@ -479,6 +479,9 @@ ClauseRetrievalServer::hostUnify(const StoredPredicate &stored,
                                  RetrievalResponse &response)
 {
     HeadUnifier unifier(stored, symbols_, q_arena, goal);
+    // Answers are a subset of the candidates: one allocation, sized
+    // for the worst case.
+    response.answers.reserve(response.candidates.size());
     for (std::uint32_t ordinal : response.candidates)
         if (unifier.unifies(ordinal))
             response.answers.push_back(ordinal);
@@ -837,9 +840,10 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
         unify::PifMatcher matcher(unify::PifMatchConfig{
             config_.fs2.level, config_.fs2.crossBinding});
         Tick scan_cost = 0;
+        pif::EncodedArgs db_args;
         for (std::size_t i = 0; i < file.clauseCount(); ++i) {
-            unify::PifMatchResult m = matcher.match(file.decodeArgs(i),
-                                                    q_args);
+            file.decodeArgsInto(i, db_args);
+            unify::PifMatchResult m = matcher.match(db_args, q_args);
             scan_cost += config_.host.perClause +
                 config_.host.perOp * m.datapathOps();
             ++response.clausesExamined;
@@ -903,7 +907,7 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
         engine.setQuery(q_args, pred);
         fs2::Fs2SearchResult r = engine.search(file, &data_disk,
                                                stored.clauseFileOffset);
-        response.candidates = r.acceptedOrdinals;
+        response.candidates = std::move(r.acceptedOrdinals);
         response.clausesExamined = r.clausesExamined;
         response.filterOps = r.ops;
         response.resultOverflow = r.resultOverflow;
@@ -918,7 +922,7 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
         engine.setQuery(q_args, pred);
         fs2::Fs2SearchResult r = engine.searchSelected(
             file, fs1.ordinals, &data_disk, stored.clauseFileOffset);
-        response.candidates = r.acceptedOrdinals;
+        response.candidates = std::move(r.acceptedOrdinals);
         response.clausesExamined = r.clausesExamined;
         response.filterOps = r.ops;
         response.resultOverflow = r.resultOverflow;

@@ -143,23 +143,20 @@ void
 PredicateStore::finalize()
 {
     clare_assert(!finalized_, "store already finalized");
-    std::vector<std::uint8_t> data_image;
-    std::vector<std::uint8_t> index_image;
+    // Lay the predicates' images end to end on the two disks.  Only
+    // the offsets are kept: the disk models hold no bytes, and every
+    // reader goes to the predicate's own images.
+    std::uint64_t data_at = 0;
+    std::uint64_t index_at = 0;
     for (const term::PredicateId &pred : order_) {
         StoredPredicate &stored = preds_.at(pred);
-        stored.clauseFileOffset = data_image.size();
-        data_image.insert(data_image.end(),
-                          stored.clauses.image().begin(),
-                          stored.clauses.image().end());
-        stored.indexFileOffset = index_image.size();
-        index_image.insert(index_image.end(),
-                           stored.index.image().begin(),
-                           stored.index.image().end());
+        stored.clauseFileOffset = data_at;
+        data_at += stored.clauses.image().size();
+        stored.indexFileOffset = index_at;
+        index_at += stored.index.image().size();
         stored.indexPageCrcs = support::pageChecksums(
             stored.index.image().data(), stored.index.image().size());
     }
-    dataDisk_.load(std::move(data_image));
-    indexDisk_.load(std::move(index_image));
     finalized_ = true;
 }
 

@@ -196,7 +196,12 @@ class PredicateStore
                    std::shared_ptr<const scw::BitSlicedIndex> sliced =
                        nullptr);
 
-    /** Finish layout: load the concatenated images onto the disks. */
+    /**
+     * Finish layout: place every predicate's clause and index images
+     * end to end on the data and index disks (clauseFileOffset,
+     * indexFileOffset).  No bytes are copied; the disks model timing
+     * only.
+     */
     void finalize();
 
     bool has(const term::PredicateId &pred) const;

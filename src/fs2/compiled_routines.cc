@@ -52,10 +52,10 @@ CompiledMatcher::lookup(TagClass db_class, TagClass q_class) const
 const PifItem &
 CompiledMatcher::currentDb() const
 {
-    clare_assert(di_ < dbItems_->size(),
+    clare_assert(di_ < dbItems_.size(),
                  "db cursor %zu beyond stream of %zu items", di_,
-                 dbItems_->size());
-    return (*dbItems_)[di_];
+                 dbItems_.size());
+    return dbItems_[di_];
 }
 
 const PifItem &
@@ -220,11 +220,11 @@ CompiledMatcher::runFlush()
 
 ClauseVerdict
 CompiledMatcher::runClause(TestUnificationEngine &tue,
-                           const std::vector<PifItem> &db_items,
+                           std::span<const PifItem> db_items,
                            std::uint32_t arity,
                            const pif::EncodedArgs &query)
 {
-    dbItems_ = &db_items;
+    dbItems_ = db_items;
     query_ = &query;
     di_ = 0;
     qi_ = 0;

@@ -30,7 +30,7 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "fs2/match_routine.hh"
 #include "fs2/tue.hh"
@@ -53,7 +53,7 @@ class CompiledMatcher
 
     /** Mirror of Wcs::runClause (same contract, same accounting). */
     ClauseVerdict runClause(TestUnificationEngine &tue,
-                            const std::vector<pif::PifItem> &db_items,
+                            std::span<const pif::PifItem> db_items,
                             std::uint32_t arity,
                             const pif::EncodedArgs &query);
 
@@ -104,7 +104,7 @@ class CompiledMatcher
 
     // Per-clause machine state (members, not locals: nested in-line
     // complex dispatches share the element counters, see file header).
-    const std::vector<pif::PifItem> *dbItems_ = nullptr;
+    std::span<const pif::PifItem> dbItems_;
     const pif::EncodedArgs *query_ = nullptr;
     std::size_t di_ = 0;
     std::size_t qi_ = 0;

@@ -142,8 +142,7 @@ Fs2Engine::runStream(const ClauseFile &file,
     std::size_t fetched_records = 0;
     for (std::uint32_t ordinal : ordinals) {
         const ClauseRecord &rec = file.record(ordinal);
-        pif::EncodedArgs db_args = ClauseFile::decodeArgsAt(file.image(),
-                                                            rec);
+        file.decodeArgsInto(ordinal, dbArgs_);
 
         Tick delivered = 0;
         fetched_bytes += rec.length;
@@ -164,10 +163,10 @@ Fs2Engine::runStream(const ClauseFile &file,
         resultMemory_.beginClause(file.image().data() + rec.offset,
                                   rec.length);
 
-        tue_.resetForClause(db_args.varSlots, query_.varSlots);
+        tue_.resetForClause(dbArgs_.varSlots, query_.varSlots);
         Tick busy_before = tue_.busyTime() + compiled_.sequencerTime();
         ClauseVerdict verdict =
-            compiled_.runClause(tue_, db_args.items, rec.arity, query_);
+            compiled_.runClause(tue_, dbArgs_.items, rec.arity, query_);
         Tick processing =
             tue_.busyTime() + compiled_.sequencerTime() - busy_before;
 

@@ -13,7 +13,10 @@
  *      the Query Memory.
  *   3. Search mode — clause records stream from the (modeled) disk
  *      through the Double Buffer; the TUE examines each; satisfiers
- *      are captured in the Result Memory.
+ *      are captured in the Result Memory.  Each record is read
+ *      through ClauseFile::decodeArgsInto() into one scratch the
+ *      engine reuses, so the search makes no heap allocation per
+ *      examined clause.
  *   4. Read Result mode — the captured satisfiers are read back.
  *
  * The engine reports both functional results (accepted ordinals,
@@ -159,6 +162,8 @@ class Fs2Engine
     ResultMemory resultMemory_;
 
     pif::EncodedArgs query_;
+    /** Scratch the record walker decodes each examined clause into. */
+    pif::EncodedArgs dbArgs_;
     term::PredicateId predicate_;
     bool queryLoaded_ = false;
 

@@ -18,14 +18,6 @@ isQueryVarClass(TagClass cls)
     return cls == TagClass::FirstQueryVar || cls == TagClass::SubQueryVar;
 }
 
-bool
-isInlineComplexClass(TagClass cls)
-{
-    return cls == TagClass::StructInline ||
-           cls == TagClass::TermListInline ||
-           cls == TagClass::UntermListInline;
-}
-
 } // namespace
 
 MatchRoutine
@@ -49,8 +41,8 @@ selectRoutine(TagClass dc, TagClass qc, int level, bool cross_binding)
     if (qc == TagClass::SubQueryVar)
         return cross_binding ? MatchRoutine::QueryFetch
                              : MatchRoutine::Skip;
-    if (level >= 3 && isInlineComplexClass(dc) &&
-        isInlineComplexClass(qc))
+    if (level >= 3 && pif::isInlineComplexClass(dc) &&
+        pif::isInlineComplexClass(qc))
         return MatchRoutine::MatchComplex;
     return MatchRoutine::MatchSimple;
 }

@@ -135,14 +135,7 @@ isListTag(Tag tag)
 bool
 isInlineComplexTag(Tag tag)
 {
-    switch (tagClass(tag)) {
-      case TagClass::StructInline:
-      case TagClass::TermListInline:
-      case TagClass::UntermListInline:
-        return true;
-      default:
-        return false;
-    }
+    return isInlineComplexClass(tagClass(tag));
 }
 
 bool
@@ -188,9 +181,7 @@ makeComplexTag(Tag base, std::uint32_t arity)
 bool
 tagHasExtension(Tag tag)
 {
-    // Only structure pointers carry a separate extension word; list
-    // pointers keep the pointer in the content field (Table A1).
-    return tagClass(tag) == TagClass::StructPointer;
+    return classHasExtension(tagClass(tag));
 }
 
 std::vector<Tag>

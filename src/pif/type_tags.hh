@@ -119,6 +119,15 @@ bool isListTag(Tag tag);
 /** True for an in-line (elements-follow) complex tag. */
 bool isInlineComplexTag(Tag tag);
 
+/** isInlineComplexTag() for a tag already classified. */
+constexpr bool
+isInlineComplexClass(TagClass cls)
+{
+    return cls == TagClass::StructInline ||
+        cls == TagClass::TermListInline ||
+        cls == TagClass::UntermListInline;
+}
+
 /** True for an unterminated (tail-variable) list tag. */
 bool isUntermListTag(Tag tag);
 
@@ -136,6 +145,17 @@ Tag makeComplexTag(Tag base, std::uint32_t arity);
 
 /** True if the tag's item carries a 32-bit extension word. */
 bool tagHasExtension(Tag tag);
+
+/**
+ * tagHasExtension() for a tag already classified: only structure
+ * pointers carry a separate extension word; list pointers keep the
+ * pointer in the content field (Table A1).
+ */
+constexpr bool
+classHasExtension(TagClass cls)
+{
+    return cls == TagClass::StructPointer;
+}
 
 /** Enumerate every valid tag byte (ascending). */
 std::vector<Tag> allValidTags();

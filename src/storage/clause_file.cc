@@ -72,9 +72,8 @@ ClauseFile::parseHeader(const std::vector<std::uint8_t> &image,
     return rec;
 }
 
-pif::EncodedArgs
-ClauseFile::decodeArgsAt(const std::vector<std::uint8_t> &image,
-                         const ClauseRecord &rec)
+void
+ClauseFile::decodeArgsInto(std::size_t i, pif::EncodedArgs &out) const
 {
     // This is the boundary between stored bytes and the engine: a
     // clause-file v1 image has no page checksums, so a flipped byte
@@ -82,6 +81,13 @@ ClauseFile::decodeArgsAt(const std::vector<std::uint8_t> &image,
     // relies on is validated with a typed CorruptionError — the
     // engine's own guards are clare_assert backstops, not error
     // reporting.
+    //
+    // One walk over the items.  Item framing faults throw at once;
+    // a variable slot out of range and an in-line complex argument
+    // short of elements are noted and reported after the walk, in
+    // that order, and the argument count last, so a record with
+    // several faults always reports the same one.
+    const ClauseRecord &rec = record(i);
     auto fail = [](std::size_t at, const std::string &why) {
         throw CorruptionError(
             "clause image", at / support::kChecksumPageBytes, at, why);
@@ -92,89 +98,100 @@ ClauseFile::decodeArgsAt(const std::vector<std::uint8_t> &image,
                       static_cast<unsigned>(tag));
         return std::string(buf);
     };
+    const std::size_t items_at = rec.offset + kRecordHeaderBytes;
+    // Byte offset of decoded item @p k, recomputed on the error path
+    // only, so the walk keeps no per-item offsets.
+    auto offset_of = [&out, items_at](std::size_t k) {
+        std::size_t at = items_at;
+        for (std::size_t j = 0; j < k; ++j)
+            at += out.items[j].wireBytes();
+        return at;
+    };
+    const std::size_t n = rec.itemCount;
     const std::size_t rec_end = std::min<std::size_t>(
-        static_cast<std::size_t>(rec.offset) + rec.length, image.size());
+        static_cast<std::size_t>(rec.offset) + rec.length, image_.size());
 
-    pif::EncodedArgs args;
-    std::vector<std::size_t> item_at;
-    item_at.reserve(rec.itemCount);
-    std::size_t at = rec.offset + kRecordHeaderBytes;
-    for (std::uint16_t i = 0; i < rec.itemCount; ++i) {
-        if (at >= rec_end)
-            fail(at, "PIF stream truncated after " +
-                     std::to_string(i) + " of " +
-                     std::to_string(rec.itemCount) + " items");
-        const pif::Tag tag = image[at];
-        if (!pif::isValidTag(tag))
-            fail(at, "invalid PIF tag " + hex_tag(tag));
-        const pif::TagClass cls = pif::tagClass(tag);
-        if (cls == pif::TagClass::FirstQueryVar ||
-            cls == pif::TagClass::SubQueryVar)
-            fail(at, "query-variable tag " + hex_tag(tag) +
-                     " in a database stream");
-        if (at + (pif::tagHasExtension(tag) ? 9u : 5u) > rec_end)
-            fail(at, "PIF item overruns the record body");
-        item_at.push_back(at);
-        // All of deserializeItem's fatal paths are pre-checked above
-        // (against the record end, which is tighter than the image
-        // end), so this cannot abort.
-        args.items.push_back(pif::deserializeItem(image, at));
-    }
+    out.items.clear();
+    out.argIndex.clear();
+    out.varSlots = 0;
 
-    // Rebuild the argument index and variable-slot count.
+    std::size_t bad_slot = n;       // first variable slot out of range
+    std::size_t short_arg = n;      // in-line complex argument overrun
+    std::size_t next_arg = 0;       // item where the next argument starts
     std::uint32_t max_slot = 0;
     bool any_var = false;
-    for (std::size_t i = 0; i < args.items.size(); ++i) {
-        const pif::PifItem &item = args.items[i];
-        pif::TagClass cls = pif::tagClass(item.tag);
+    std::size_t at = items_at;
+    for (std::size_t k = 0; k < n; ++k) {
+        if (at >= rec_end)
+            fail(at, "PIF stream truncated after " + std::to_string(k) +
+                     " of " + std::to_string(n) + " items");
+        pif::PifItem item;
+        item.tag = image_[at];
+        if (!pif::isValidTag(item.tag))
+            fail(at, "invalid PIF tag " + hex_tag(item.tag));
+        const pif::TagClass cls = pif::tagClass(item.tag);
+        if (cls == pif::TagClass::FirstQueryVar ||
+            cls == pif::TagClass::SubQueryVar)
+            fail(at, "query-variable tag " + hex_tag(item.tag) +
+                     " in a database stream");
+        const std::size_t bytes = pif::classHasExtension(cls) ? 9 : 5;
+        if (at + bytes > rec_end)
+            fail(at, "PIF item overruns the record body");
+        item.content = getU32(image_, at + 1);
+        if (bytes == 9)
+            item.extension = getU32(image_, at + 5);
+        at += bytes;
+
         if (cls == pif::TagClass::FirstDbVar ||
             cls == pif::TagClass::SubDbVar) {
             // Slots are assigned densely from zero, one per distinct
             // variable, so a slot at or past the item count can only
             // come from a corrupted content word — and would size the
             // TUE binding memory arbitrarily.
-            if (item.content >= rec.itemCount)
-                fail(item_at[i], "variable slot " +
-                                 std::to_string(item.content) +
-                                 " out of range for a record of " +
-                                 std::to_string(rec.itemCount) +
-                                 " items");
+            if (item.content >= n && bad_slot == n)
+                bad_slot = k;
             any_var = true;
             max_slot = std::max(max_slot, item.content);
         }
-    }
-    args.varSlots = any_var ? max_slot + 1 : 0;
-
-    std::size_t idx = 0;
-    std::uint32_t seen = 0;
-    while (idx < args.items.size()) {
-        args.argIndex.push_back(idx);
-        const pif::PifItem &item = args.items[idx];
-        std::size_t width = 1;
-        if (pif::isInlineComplexTag(item.tag)) {
-            width = 1 + pif::tagArity(item.tag);
-            if (idx + width > args.items.size())
-                fail(item_at[idx],
-                     "in-line complex item needs " +
-                         std::to_string(width - 1) +
-                         " elements but only " +
-                         std::to_string(args.items.size() - idx - 1) +
-                         " items follow");
+        if (k == next_arg) {
+            // An argument header: an in-line complex one spans its
+            // elements too.
+            out.argIndex.push_back(k);
+            std::size_t width = 1;
+            if (pif::isInlineComplexClass(cls))
+                width += pif::tagArity(item.tag);
+            if (k + width > n)
+                short_arg = k;
+            next_arg = k + width;
         }
-        idx += width;
-        ++seen;
+        out.items.push_back(item);
     }
-    if (seen != rec.arity)
-        fail(rec.offset, "decoded " + std::to_string(seen) +
+
+    if (bad_slot != n)
+        fail(offset_of(bad_slot),
+             "variable slot " +
+                 std::to_string(out.items[bad_slot].content) +
+                 " out of range for a record of " + std::to_string(n) +
+                 " items");
+    if (short_arg != n)
+        fail(offset_of(short_arg),
+             "in-line complex item needs " +
+                 std::to_string(pif::tagArity(out.items[short_arg].tag)) +
+                 " elements but only " +
+                 std::to_string(n - short_arg - 1) + " items follow");
+    if (out.argIndex.size() != rec.arity)
+        fail(rec.offset, "decoded " + std::to_string(out.argIndex.size()) +
                          " arguments but record arity is " +
                          std::to_string(rec.arity));
-    return args;
+    out.varSlots = any_var ? max_slot + 1 : 0;
 }
 
 pif::EncodedArgs
 ClauseFile::decodeArgs(std::size_t i) const
 {
-    return decodeArgsAt(image_, record(i));
+    pif::EncodedArgs args;
+    decodeArgsInto(i, args);
+    return args;
 }
 
 std::string

@@ -15,6 +15,14 @@
  * drives), live-update compaction, and the WAL, whose records carry
  * clause text as their replay currency.
  *
+ * FS2 and the host's software scan read the compiled argument stream
+ * of each examined record through one walker, decodeArgsInto(): it
+ * validates the record's stored bytes on every touch and decodes the
+ * 5- and 9-byte PIF items into a caller-owned scratch EncodedArgs, so
+ * the search loop makes no heap allocation per clause — the host
+ * model's counterpart of the paper's filtering "on the fly" as
+ * records stream off the disk (section 3, Search mode).
+ *
  * Record wire layout (little endian):
  *
  *   u32 ordinal       clause position within the predicate
@@ -77,7 +85,23 @@ class ClauseFile
 
     term::PredicateId predicate() const { return predicate_; }
 
-    /** Decode the compiled head-argument stream of clause @p i. */
+    /**
+     * The record walker: validate and decode the compiled
+     * head-argument stream of clause @p i into @p out, reusing the
+     * capacity of out.items and out.argIndex, so a caller that keeps
+     * one scratch EncodedArgs across records decodes without heap
+     * allocation once it has seen the widest record.
+     *
+     * Every touch validates: a truncated stream, an invalid or
+     * query-side tag, an item overrunning the record, a variable slot
+     * out of range, an in-line complex item short of elements, or an
+     * argument count other than the record's arity throws
+     * CorruptionError naming the page and byte offset of the fault.
+     * After a throw @p out holds no usable record.
+     */
+    void decodeArgsInto(std::size_t i, pif::EncodedArgs &out) const;
+
+    /** decodeArgsInto() into a fresh EncodedArgs. */
     pif::EncodedArgs decodeArgs(std::size_t i) const;
 
     /** The stored source text of clause @p i. */
@@ -86,10 +110,6 @@ class ClauseFile
     /** Parse one record starting at @p offset of an arbitrary image. */
     static ClauseRecord parseHeader(const std::vector<std::uint8_t> &image,
                                     std::size_t offset);
-
-    /** Decode a record's argument stream from an arbitrary image. */
-    static pif::EncodedArgs decodeArgsAt(
-        const std::vector<std::uint8_t> &image, const ClauseRecord &rec);
 
     /**
      * Concatenate two clause files of one predicate into a composite

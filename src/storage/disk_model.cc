@@ -1,6 +1,7 @@
 #include "storage/disk_model.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "support/errors.hh"
 #include "support/logging.hh"
@@ -61,12 +62,6 @@ DiskModel::DiskModel(DiskGeometry geometry)
     clare_assert(geometry_.transferRate > 0, "transfer rate must be > 0");
 }
 
-void
-DiskModel::load(std::vector<std::uint8_t> image)
-{
-    image_ = std::move(image);
-}
-
 Tick
 DiskModel::accessTime() const
 {
@@ -92,8 +87,7 @@ DiskModel::transferTime(std::uint64_t bytes) const
 // ---------------------------------------------------------------------
 
 DiskModel::DiskModel(DiskModel &&other) noexcept
-    : geometry_(std::move(other.geometry_)),
-      image_(std::move(other.image_))
+    : geometry_(std::move(other.geometry_))
 {
     std::lock_guard<std::mutex> lock(other.cacheMutex_);
     cacheConfig_ = other.cacheConfig_;
@@ -106,7 +100,6 @@ DiskModel::operator=(DiskModel &&other) noexcept
     if (this != &other) {
         std::scoped_lock lock(cacheMutex_, other.cacheMutex_);
         geometry_ = std::move(other.geometry_);
-        image_ = std::move(other.image_);
         cacheConfig_ = other.cacheConfig_;
         cache_ = std::move(other.cache_);
     }
@@ -214,7 +207,8 @@ DiskModel::modelRead(std::uint64_t offset, std::uint64_t length,
 }
 
 Tick
-DiskModel::stream(std::uint64_t offset, std::uint64_t length,
+DiskModel::stream(std::span<const std::uint8_t> image,
+                  std::uint64_t offset, std::uint64_t length,
                   std::uint32_t chunk_bytes, Tick start,
                   const std::function<void(const std::uint8_t *,
                                            std::uint32_t, Tick)> &sink,
@@ -227,11 +221,11 @@ DiskModel::stream(std::uint64_t offset, std::uint64_t length,
                  "need at least one read attempt per chunk");
     if (length == 0)
         return start;
-    clare_assert(offset + length <= image_.size(),
+    clare_assert(offset + length <= image.size(),
                  "stream range [%llu, +%llu) exceeds image of %zu bytes",
                  static_cast<unsigned long long>(offset),
                  static_cast<unsigned long long>(length),
-                 image_.size());
+                 image.size());
     if (faults != nullptr && !faults->config().anyFaults())
         faults = nullptr;
 
@@ -249,7 +243,7 @@ DiskModel::stream(std::uint64_t offset, std::uint64_t length,
             std::uint32_t n = static_cast<std::uint32_t>(
                 std::min<std::uint64_t>(chunk_bytes, length - done));
             Tick delivered = ready + cacheTransferTime(done + n);
-            sink(image_.data() + offset + done, n, delivered);
+            sink(image.data() + offset + done, n, delivered);
             done += n;
             ++chunks;
         }
@@ -280,7 +274,7 @@ DiskModel::stream(std::uint64_t offset, std::uint64_t length,
     while (done < length) {
         std::uint32_t n = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(chunk_bytes, length - done));
-        const std::uint8_t *data = image_.data() + offset + done;
+        const std::uint8_t *data = image.data() + offset + done;
         if (faults != nullptr) {
             std::uint64_t key = faults->chunkKey(offset + done);
             std::uint32_t attempt = 0;

@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "support/fault_injector.hh"
 #include "support/lru.hh"
@@ -96,12 +96,16 @@ struct ReadTiming
 };
 
 /**
- * A disk holding one byte image, streamed in DMA chunks.
+ * The timing of a disk, streamed in DMA chunks.
  *
  * The model is deliberately simple: an access (seek + half rotation)
  * positions the head, then bytes arrive at the sustained transfer
  * rate.  Chunk delivery times are exact fractions of the rate so that
  * filter-vs-disk rate comparisons are faithful.
+ *
+ * The model holds no bytes.  A store places its images at offsets on
+ * the disk and keeps the images themselves; stream() borrows the
+ * bytes it delivers from its caller.
  */
 class DiskModel
 {
@@ -115,11 +119,6 @@ class DiskModel
     DiskModel &operator=(DiskModel &&other) noexcept;
 
     const DiskGeometry &geometry() const { return geometry_; }
-
-    /** Replace the stored image. */
-    void load(std::vector<std::uint8_t> image);
-
-    const std::vector<std::uint8_t> &image() const { return image_; }
 
     /** Average positioning time: seek plus half a rotation. */
     Tick accessTime() const;
@@ -166,6 +165,8 @@ class DiskModel
     /**
      * Stream a byte range as DMA chunks.
      *
+     * @param image the bytes the disk holds, from position 0; the
+     *        caller owns them and the model keeps no copy
      * @param offset,length range within the image
      * @param chunk_bytes DMA chunk size (e.g. one Double Buffer bank)
      * @param start simulated time the command is issued
@@ -189,7 +190,8 @@ class DiskModel
      *         an empty range
      * @throws IoError when a chunk fails every bounded attempt
      */
-    Tick stream(std::uint64_t offset, std::uint64_t length,
+    Tick stream(std::span<const std::uint8_t> image,
+                std::uint64_t offset, std::uint64_t length,
                 std::uint32_t chunk_bytes, Tick start,
                 const std::function<void(const std::uint8_t *,
                                          std::uint32_t, Tick)> &sink,
@@ -201,7 +203,6 @@ class DiskModel
 
   private:
     DiskGeometry geometry_;
-    std::vector<std::uint8_t> image_;
 
     /**
      * L1 track cache.  Mutable behind a mutex: reads are logically

@@ -127,7 +127,7 @@ PairEngine::ultimate(PifItem item, PifItem &out)
 
 bool
 PairEngine::matchDbVar(const PifItem &db_item, const PifItem &q_item,
-                       const OpSink &sink)
+                       OpSink sink)
 {
     Cell &cell = cellFor(db_item);
     if (tagClass(db_item.tag) == TagClass::FirstDbVar) {
@@ -166,7 +166,7 @@ PairEngine::matchDbVar(const PifItem &db_item, const PifItem &q_item,
 
 bool
 PairEngine::matchQueryVar(const PifItem &db_item, const PifItem &q_item,
-                          const OpSink &sink)
+                          OpSink sink)
 {
     Cell &cell = cellFor(q_item);
     if (tagClass(q_item.tag) == TagClass::FirstQueryVar) {
@@ -193,7 +193,7 @@ PairEngine::matchQueryVar(const PifItem &db_item, const PifItem &q_item,
 
 bool
 PairEngine::matchPair(const PifItem &db_item, const PifItem &q_item,
-                      const OpSink &sink)
+                      OpSink sink)
 {
     if (pif::isAnonVarItem(db_item) || pif::isAnonVarItem(q_item)) {
         sink(TueOp::Skip);

@@ -16,7 +16,8 @@
 #ifndef CLARE_UNIFY_PAIR_ENGINE_HH
 #define CLARE_UNIFY_PAIR_ENGINE_HH
 
-#include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "pif/pif_item.hh"
@@ -24,8 +25,32 @@
 
 namespace clare::unify {
 
-/** Callback receiving each hardware operation as it is performed. */
-using OpSink = std::function<void(TueOp)>;
+/**
+ * Callback receiving each hardware operation as it is performed.  It
+ * refers to a callable it does not own, so building one never
+ * allocates (the TUE builds one per operation); the callable must
+ * outlive every use, as a lambda passed straight to matchPair() does.
+ */
+class OpSink
+{
+  public:
+    template <typename F>
+        requires(!std::is_same_v<std::remove_cvref_t<F>, OpSink> &&
+                 std::is_invocable_v<F &, TueOp>)
+    OpSink(F &&callable) noexcept
+        : callable_(const_cast<void *>(
+              static_cast<const void *>(std::addressof(callable)))),
+          call_([](void *c, TueOp op) {
+              (*static_cast<std::remove_reference_t<F> *>(c))(op);
+          })
+    {}
+
+    void operator()(TueOp op) const { call_(callable_, op); }
+
+  private:
+    void *callable_;
+    void (*call_)(void *, TueOp);
+};
 
 /**
  * Header-level comparison of two non-variable items at a matching
@@ -65,7 +90,7 @@ class PairEngine
      * @return true if the pair passes (possibly conservatively).
      */
     bool matchPair(const pif::PifItem &db_item,
-                   const pif::PifItem &q_item, const OpSink &sink);
+                   const pif::PifItem &q_item, OpSink sink);
 
     int level() const { return level_; }
     bool crossBinding() const { return crossBinding_; }
@@ -85,9 +110,9 @@ class PairEngine
     Cell &cellFor(const pif::PifItem &item);
     bool ultimate(pif::PifItem item, pif::PifItem &out);
     bool matchDbVar(const pif::PifItem &db_item,
-                    const pif::PifItem &q_item, const OpSink &sink);
+                    const pif::PifItem &q_item, OpSink sink);
     bool matchQueryVar(const pif::PifItem &db_item,
-                       const pif::PifItem &q_item, const OpSink &sink);
+                       const pif::PifItem &q_item, OpSink sink);
 };
 
 } // namespace clare::unify

@@ -35,7 +35,7 @@ PifMatcher::match(const EncodedArgs &db, const EncodedArgs &query) const
                  db.argCount(), query.argCount());
 
     PifMatchResult result;
-    OpSink sink = [&result](TueOp op) {
+    auto sink = [&result](TueOp op) {
         ++result.opCounts[static_cast<std::size_t>(op)];
     };
 

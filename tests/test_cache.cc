@@ -171,6 +171,8 @@ class DiskCacheTest : public ::testing::Test
 {
   protected:
     storage::DiskModel disk{storage::DiskGeometry::fujitsuM2351A()};
+    /** The bytes the disk holds; the model itself keeps none. */
+    std::vector<std::uint8_t> image;
     obs::MetricsRegistry metrics;
     obs::Observer obs{nullptr, &metrics};
 
@@ -178,11 +180,9 @@ class DiskCacheTest : public ::testing::Test
     SetUp() override
     {
         // 8 tracks of data.
-        std::vector<std::uint8_t> image(
-            8ull * disk.geometry().trackBytes());
+        image.resize(8ull * disk.geometry().trackBytes());
         for (std::size_t i = 0; i < image.size(); ++i)
             image[i] = static_cast<std::uint8_t>(i * 7 + 3);
-        disk.load(std::move(image));
     }
 
     std::uint64_t
@@ -242,7 +242,7 @@ TEST_F(DiskCacheTest, RangeWiderThanCapacityIsNotAdmitted)
     disk.modelRead(0, 100, obs);
     disk.modelRead(disk.geometry().trackBytes(), 100, obs);
     ASSERT_EQ(disk.cachedTracks(), 2u);
-    disk.modelRead(0, disk.image().size(), obs);   // 8-track sweep
+    disk.modelRead(0, image.size(), obs);   // 8-track sweep
     EXPECT_EQ(disk.cachedTracks(), 2u);
     EXPECT_TRUE(disk.modelRead(0, 100, obs).cacheHit);
 }
@@ -262,7 +262,7 @@ TEST_F(DiskCacheTest, StreamHitDeliversSameBytesWithoutAccessTime)
     auto stream_all = [&](std::uint64_t len) {
         std::vector<std::uint8_t> bytes;
         Tick end = disk.stream(
-            0, len, 4096, 0,
+            image, 0, len, 4096, 0,
             [&](const std::uint8_t *d, std::uint32_t n, Tick) {
                 bytes.insert(bytes.end(), d, d + n);
             },
@@ -286,14 +286,14 @@ TEST_F(DiskCacheTest, CorruptedDeliveryIsNeverAdmitted)
     support::FaultInjector faults(config);
     std::vector<std::uint8_t> delivered;
     disk.stream(
-        0, 8192, 4096, 0,
+        image, 0, 8192, 4096, 0,
         [&](const std::uint8_t *d, std::uint32_t n, Tick) {
             delivered.insert(delivered.end(), d, d + n);
         },
         obs, 0, &faults);
     ASSERT_NE(delivered,
-              std::vector<std::uint8_t>(disk.image().begin(),
-                                        disk.image().begin() + 8192));
+              std::vector<std::uint8_t>(image.begin(),
+                                        image.begin() + 8192));
     // The poisoned range must not be resident: a re-read goes to the
     // platters (and, fault-free this time, delivers clean bytes).
     EXPECT_EQ(disk.cachedTracks(), 0u);

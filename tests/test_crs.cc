@@ -67,9 +67,20 @@ TEST_F(CrsTest, StoreLayout)
     EXPECT_TRUE(store->has(q));
     EXPECT_FALSE(store->has(term::PredicateId{sym.lookup("p"), 2}));
     EXPECT_EQ(store->predicate(p).clauses.clauseCount(), 2u);
-    EXPECT_EQ(store->dataDisk().image().size(), store->dataBytes());
-    EXPECT_EQ(store->indexDisk().image().size(), store->indexBytes());
-    // q's clause file sits after p's in the disk image.
+    // finalize() lays the images end to end in predicate order: the
+    // offsets tile [0, dataBytes()) and [0, indexBytes()) exactly.
+    std::uint64_t data_at = 0;
+    std::uint64_t index_at = 0;
+    for (const term::PredicateId &pred : store->predicates()) {
+        const StoredPredicate &stored = store->predicate(pred);
+        EXPECT_EQ(stored.clauseFileOffset, data_at);
+        EXPECT_EQ(stored.indexFileOffset, index_at);
+        data_at += stored.clauses.image().size();
+        index_at += stored.index.image().size();
+    }
+    EXPECT_EQ(data_at, store->dataBytes());
+    EXPECT_EQ(index_at, store->indexBytes());
+    // q's clause file sits after p's on the data disk.
     EXPECT_GT(store->predicate(q).clauseFileOffset, 0u);
 }
 

@@ -277,14 +277,15 @@ class DiskStreamFaultTest : public ::testing::Test
 {
   protected:
     storage::DiskModel disk_{storage::DiskGeometry::fujitsuM2351A()};
+    /** The bytes the disk holds; the model itself keeps none. */
+    std::vector<std::uint8_t> image_;
 
     void
     SetUp() override
     {
-        std::vector<std::uint8_t> image(3 * 4096 + 100);
-        for (std::size_t i = 0; i < image.size(); ++i)
-            image[i] = static_cast<std::uint8_t>(i * 13 + 1);
-        disk_.load(std::move(image));
+        image_.resize(3 * 4096 + 100);
+        for (std::size_t i = 0; i < image_.size(); ++i)
+            image_[i] = static_cast<std::uint8_t>(i * 13 + 1);
     }
 
     /** Stream the whole image, returning (delivered bytes, end tick). */
@@ -296,7 +297,7 @@ class DiskStreamFaultTest : public ::testing::Test
         std::vector<std::uint8_t> delivered;
         obs::Observer obs{nullptr, metrics};
         Tick end = disk_.stream(
-            0, disk_.image().size(), 4096, 0,
+            image_, 0, image_.size(), 4096, 0,
             [&](const std::uint8_t *data, std::uint32_t n, Tick) {
                 delivered.insert(delivered.end(), data, data + n);
             },
@@ -321,7 +322,7 @@ TEST_F(DiskStreamFaultTest, ZeroRateInjectorIsBitIdenticalToNone)
     support::FaultInjector idle{support::FaultConfig{}};
     auto [clean_bytes, clean_end] = streamAll(nullptr);
     auto [idle_bytes, idle_end] = streamAll(&idle);
-    EXPECT_EQ(clean_bytes, disk_.image());
+    EXPECT_EQ(clean_bytes, image_);
     EXPECT_EQ(idle_bytes, clean_bytes);
     EXPECT_EQ(idle_end, clean_end);
 }
@@ -336,7 +337,7 @@ TEST_F(DiskStreamFaultTest, TransientErrorsCostReseeksAndAreCounted)
     for (config.seed = 1; config.seed < 64; ++config.seed) {
         support::FaultInjector probe(config);
         support::RangeFaults rf = probe.rangeFaults(
-            "disk.data", 0, disk_.image().size(), 8);
+            "disk.data", 0, image_.size(), 8);
         if (rf.retries > 0 && !rf.permanent) {
             retries = rf.retries;
             break;
@@ -374,12 +375,12 @@ TEST_F(DiskStreamFaultTest, CorruptChunksFlipOneBitButSpareTheMaster)
     config.seed = 21;
     config.bitFlipRate = 1.0;
     support::FaultInjector inj(config);
-    std::vector<std::uint8_t> master = disk_.image();
+    std::vector<std::uint8_t> master = image_;
     obs::MetricsRegistry metrics;
     auto [bytes, end] = streamAll(&inj, {}, &metrics);
     (void)end;
 
-    EXPECT_EQ(disk_.image(), master); // scratch-copy corruption only
+    EXPECT_EQ(image_, master); // scratch-copy corruption only
     ASSERT_EQ(bytes.size(), master.size());
     // Every 4096-byte chunk was delivered with exactly one flipped bit.
     std::size_t chunks = (master.size() + 4095) / 4096;
@@ -409,7 +410,7 @@ TEST_F(DiskStreamFaultTest, DelayedChunksShiftTheWholeStream)
     auto [clean_bytes, clean_end] = streamAll(nullptr);
     auto [bytes, end] = streamAll(&inj);
     EXPECT_EQ(bytes, clean_bytes);
-    std::size_t chunks = (disk_.image().size() + 4095) / 4096;
+    std::size_t chunks = (image_.size() + 4095) / 4096;
     EXPECT_EQ(end, clean_end + static_cast<Tick>(chunks) * kMillisecond);
 }
 
@@ -490,14 +491,20 @@ TEST_F(FormatFaultTest, V1FlippedTagByteIsTypedCorruptionNotACrash)
         storage::writeBytes(path_, out);
     };
 
-    // The first item's tag byte of clause 0.
+    // The first item's tag byte of clause 1, so that a clean record
+    // precedes the damaged one in the stream.
     const std::size_t tag_at =
-        file.record(0).offset + storage::kRecordHeaderBytes;
+        file.record(1).offset + storage::kRecordHeaderBytes;
     const std::uint8_t flips[] = {
         0x00,                   // not a PIF tag at all
         pif::kFirstQueryVar,    // valid tag, wrong side of the stream
         0xff,                   // in-line list of arity 31: overrun
     };
+    pif::EncodedArgs qargs;
+    qargs.items.push_back(pif::PifItem{pif::kFirstQueryVar, 0, 0});
+    qargs.items.push_back(pif::PifItem{pif::kFirstQueryVar, 1, 0});
+    qargs.varSlots = 2;
+    qargs.argIndex = {0, 1};
     for (std::uint8_t bad : flips) {
         std::vector<std::uint8_t> image = file.image();
         ASSERT_NE(image[tag_at], bad);
@@ -507,21 +514,43 @@ TEST_F(FormatFaultTest, V1FlippedTagByteIsTypedCorruptionNotACrash)
         storage::ClauseFile damaged = storage::loadClauseFile(path_);
         ASSERT_EQ(damaged.clauseCount(), file.clauseCount());
 
-        EXPECT_THROW(damaged.decodeArgs(0), CorruptionError)
-            << "tag 0x" << std::hex << static_cast<int>(bad);
+        try {
+            damaged.decodeArgs(1);
+            ADD_FAILURE() << "tag 0x" << std::hex << static_cast<int>(bad)
+                          << " decoded";
+        } catch (const CorruptionError &e) {
+            // The error names the damaged byte itself.
+            EXPECT_EQ(e.offset(), tag_at);
+            EXPECT_EQ(e.page(), tag_at / support::kChecksumPageBytes);
+        }
+        EXPECT_NO_THROW(damaged.decodeArgs(0));
 
         // End to end: the same damage reached through an FS2 search
         // over the loaded file (the engine decodes each record as the
-        // stream arrives).
-        pif::EncodedArgs qargs;
-        qargs.items.push_back(pif::PifItem{pif::kFirstQueryVar, 0, 0});
-        qargs.items.push_back(pif::PifItem{pif::kFirstQueryVar, 1, 0});
-        qargs.varSlots = 2;
-        qargs.argIndex = {0, 1};
+        // stream arrives).  The engine reuses one scratch record, so
+        // search twice with the same engine: the second search must
+        // fail the same way, not run on a half-decoded leftover.
         fs2::Fs2Engine engine;
         engine.setQuery(qargs, damaged.predicate());
         EXPECT_THROW(engine.search(damaged), CorruptionError)
             << "tag 0x" << std::hex << static_cast<int>(bad);
+        EXPECT_THROW(engine.search(damaged), CorruptionError)
+            << "tag 0x" << std::hex << static_cast<int>(bad);
+
+        // The two-stage path: a clean ordinal, then the damaged one.
+        EXPECT_THROW(engine.searchSelected(damaged, {0, 1}),
+                     CorruptionError)
+            << "tag 0x" << std::hex << static_cast<int>(bad);
+
+        // The clean records around the damage still search exactly as
+        // a fresh engine over the pristine file does.
+        fs2::Fs2Engine fresh;
+        fresh.setQuery(qargs, file.predicate());
+        fs2::Fs2SearchResult want = fresh.searchSelected(file, {0, 2});
+        fs2::Fs2SearchResult got = engine.searchSelected(damaged, {0, 2});
+        EXPECT_EQ(got.acceptedOrdinals, want.acceptedOrdinals);
+        EXPECT_EQ(got.ops, want.ops);
+        EXPECT_EQ(got.tueBusyTime, want.tueBusyTime);
     }
 
     // The pristine image still decodes and retrieves cleanly through

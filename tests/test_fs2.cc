@@ -4,9 +4,11 @@
  * 6-12 route arithmetic, the microinstruction format and assembler,
  * the map ROM, the Double Buffer and Result Memory, the engine's
  * exact agreement with the functional matcher (hit/miss, operation
- * counts, and accepted clause sets) over randomized workloads, and the
+ * counts, and accepted clause sets) over randomized workloads, the
  * compiled match routines' clause-by-clause agreement with the
- * reference WCS interpreter (clare_oracle).
+ * reference WCS interpreter (clare_oracle), and the record walker the
+ * engine reads clause files through: it decodes exactly what the
+ * encoder wrote and lets a search run without per-clause allocation.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "oracle/microcode.hh"
 #include "oracle/wcs.hh"
 #include "storage/clause_file.hh"
+#include "support/alloc_counter.hh"
 #include "support/logging.hh"
 #include "term/term_reader.hh"
 #include "term/term_writer.hh"
@@ -561,7 +564,6 @@ TEST_F(Fs2EngineTest, WithDiskElapsedIsDiskBound)
     storage::ClauseFile file = build(text);
     term::ParsedQuery q = reader.parseQuery("p(X, b)");
     storage::DiskModel disk(storage::DiskGeometry::fujitsuM2351A());
-    disk.load(file.image());
 
     Fs2Engine engine;
     engine.setQuery(q.arena, q.goals[0]);
@@ -835,6 +837,158 @@ TEST(WcsAccountingTest, SequencerTimeIsInstructionsTimesOverhead)
         EXPECT_EQ(r.sequencerTime,
                   static_cast<Tick>(r.microInstructions) * overhead)
             << "overhead " << overhead;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The record walker: exact decode, and searches that do not allocate
+// per examined clause.
+// ---------------------------------------------------------------------
+
+/** Clause files built from @p program, one per predicate. */
+std::vector<std::pair<storage::ClauseFile, std::vector<std::size_t>>>
+clauseFiles(const term::Program &program, const term::TermWriter &writer)
+{
+    std::vector<std::pair<storage::ClauseFile, std::vector<std::size_t>>>
+        files;
+    for (const auto &pred : program.predicates()) {
+        storage::ClauseFileBuilder builder(writer);
+        for (std::size_t i : program.clausesOf(pred))
+            builder.add(program.clause(i));
+        files.emplace_back(builder.finish(), program.clausesOf(pred));
+    }
+    return files;
+}
+
+/**
+ * Every record the walker decodes equals what the builder encoded —
+ * items, argument index and variable slots — with one scratch reused
+ * across records of every width, and equals the fresh decodeArgs().
+ * The files cover every item shape a stored record carries: 9-byte
+ * structure pointers (nested and arity > 31), arity-31 in-line
+ * complex items, lists, floats, and anonymous, first and subsequent
+ * database variables.
+ */
+TEST(RecordWalkerTest, DecodesExactlyWhatTheEncoderWrote)
+{
+    term::SymbolTable sym;
+    term::TermReader reader(sym);
+    term::TermWriter writer(sym);
+
+    std::string wide = "w(a0";
+    for (int i = 1; i < 31; ++i)
+        wide += ", a" + std::to_string(i);
+    wide += ")";
+    std::string huge = "h(X";
+    for (int i = 1; i < 40; ++i)
+        huge += ", " + std::to_string(i);
+    huge += ")";
+    term::Program handmade;
+    for (term::Clause &c : reader.parseProgram(
+             "p(f(g(a), X), [1, 2 | T], _, X, T).\n"
+             "p(" + wide + ", " + huge + ", 4.25, _, Y) :- q(Y).\n"
+             "p(a, b, c, d, e).\n"
+             "p(k(Y, Y, _), [Z, [Z]], " + wide + ", Y, Z).\n"))
+        handmade.add(std::move(c));
+
+    workload::KbGenerator kbgen(sym);
+    workload::KbSpec spec;
+    spec.predicates = 3;
+    spec.clausesPerPredicate = 150;
+    spec.arityMax = 6;
+    spec.varProb = 0.3;
+    spec.sharedVarProb = 0.4;
+    spec.structProb = 0.35;
+    spec.listProb = 0.15;
+    spec.floatProb = 0.05;
+    spec.seed = 71;
+    term::Program generated = kbgen.generate(spec);
+
+    pif::Encoder encoder;
+    std::set<pif::TagClass> classes;
+    bool arity31_inline = false;
+    pif::EncodedArgs scratch;
+    for (const term::Program *program : {&handmade, &generated}) {
+        for (const auto &[file, clauses] : clauseFiles(*program, writer)) {
+            for (std::size_t c = 0; c < file.clauseCount(); ++c) {
+                const term::Clause &clause = program->clause(clauses[c]);
+                pif::EncodedArgs want = encoder.encodeArgs(
+                    clause.arena(), clause.head(), pif::Side::Db);
+                file.decodeArgsInto(c, scratch);
+                EXPECT_EQ(scratch.items, want.items) << "clause " << c;
+                EXPECT_EQ(scratch.argIndex, want.argIndex)
+                    << "clause " << c;
+                EXPECT_EQ(scratch.varSlots, want.varSlots)
+                    << "clause " << c;
+                pif::EncodedArgs fresh = file.decodeArgs(c);
+                EXPECT_EQ(fresh.items, want.items) << "clause " << c;
+                EXPECT_EQ(fresh.argIndex, want.argIndex) << "clause " << c;
+                EXPECT_EQ(fresh.varSlots, want.varSlots) << "clause " << c;
+                for (const pif::PifItem &item : want.items) {
+                    classes.insert(pif::tagClass(item.tag));
+                    arity31_inline |= pif::isInlineComplexTag(item.tag) &&
+                        pif::tagArity(item.tag) == pif::kMaxInlineArity;
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(arity31_inline);
+    for (pif::TagClass cls :
+         {pif::TagClass::StructPointer, pif::TagClass::StructInline,
+          pif::TagClass::UntermListInline, pif::TagClass::Float,
+          pif::TagClass::AnonymousVar, pif::TagClass::FirstDbVar,
+          pif::TagClass::SubDbVar})
+        EXPECT_EQ(classes.count(cls), 1u) << pif::tagClassName(cls);
+}
+
+/**
+ * An FS2 search allocates the same whether it examines N clauses or
+ * 4N: decoding, matching and the TUE operations allocate nothing per
+ * clause.  The query accepts only clause 0 in either file, so the
+ * accepted-ordinal list grows alike.
+ */
+TEST_F(Fs2EngineTest, SearchAllocationsDoNotGrowWithClauseCount)
+{
+    if (!support::allocCountingEnabled())
+        GTEST_SKIP() << "build with -DCLARE_COUNT_ALLOCS=ON";
+
+    auto file_of = [&](int n) {
+        std::string text;
+        for (int k = 0; k < n; ++k)
+            text += "p(f(g(a), X, [1, 2 | T]), X, k(Y, Y, _), T, " +
+                std::to_string(k) + ").\n";
+        return build(text);
+    };
+    const storage::ClauseFile small = file_of(100);
+    const storage::ClauseFile large = file_of(400);
+    term::ParsedQuery q = reader.parseQuery(
+        "p(f(A, B, C), B, k(D, E, _), F, 0)");
+    storage::DiskModel disk(storage::DiskGeometry::fujitsuM2351A());
+
+    auto search_allocs = [&](const storage::ClauseFile &file,
+                             bool selected) {
+        std::vector<std::uint32_t> ordinals;
+        for (std::size_t i = 0; i < file.clauseCount(); ++i)
+            ordinals.push_back(static_cast<std::uint32_t>(i));
+        Fs2Engine engine;
+        engine.setQuery(q.arena, q.goals[0]);
+        const std::uint64_t before = support::allocationCount();
+        Fs2SearchResult r = selected
+            ? engine.searchSelected(file, ordinals, &disk)
+            : engine.search(file, &disk);
+        const std::uint64_t allocs = support::allocationCount() - before;
+        EXPECT_EQ(r.clausesExamined, file.clauseCount());
+        EXPECT_EQ(r.acceptedOrdinals, std::vector<std::uint32_t>{0});
+        return allocs;
+    };
+    // The first search of the process also builds one-time tables
+    // (the datapath operation specs); keep it out of the comparison.
+    search_allocs(small, false);
+    for (bool selected : {false, true}) {
+        const std::uint64_t n_allocs = search_allocs(small, selected);
+        const std::uint64_t four_n_allocs = search_allocs(large, selected);
+        EXPECT_EQ(n_allocs, four_n_allocs)
+            << (selected ? "searchSelected" : "search");
     }
 }
 

@@ -57,7 +57,6 @@ TEST(Integration, Fs2NeverOverrunsPaperDisk)
         builder.add(program.clause(i));
     storage::ClauseFile file = builder.finish();
     storage::DiskModel disk(storage::DiskGeometry::fujitsuM2351A());
-    disk.load(file.image());
 
     workload::QuerySpec qspec;
     qspec.boundArgProb = 0.3;

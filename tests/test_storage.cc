@@ -54,12 +54,11 @@ TEST(DiskModel, StreamDeliversChunksInOrder)
     std::vector<std::uint8_t> image(10000);
     for (std::size_t i = 0; i < image.size(); ++i)
         image[i] = static_cast<std::uint8_t>(i & 0xff);
-    disk.load(image);
 
     std::vector<std::uint32_t> sizes;
     std::vector<Tick> times;
     std::uint64_t total = 0;
-    Tick end = disk.stream(100, 5000, 1024, 0,
+    Tick end = disk.stream(image, 100, 5000, 1024, 0,
         [&](const std::uint8_t *data, std::uint32_t n, Tick t) {
             EXPECT_EQ(data[0],
                       static_cast<std::uint8_t>((100 + total) & 0xff));
@@ -79,8 +78,8 @@ TEST(DiskModel, StreamDeliversChunksInOrder)
 TEST(DiskModel, StreamEmptyRange)
 {
     DiskModel disk(DiskGeometry::fujitsuM2351A());
-    disk.load(std::vector<std::uint8_t>(100));
-    Tick end = disk.stream(0, 0, 512, 42,
+    std::vector<std::uint8_t> image(100);
+    Tick end = disk.stream(image, 0, 0, 512, 42,
         [](const std::uint8_t *, std::uint32_t, Tick) {
             FAIL() << "no chunks expected";
         });
@@ -90,8 +89,8 @@ TEST(DiskModel, StreamEmptyRange)
 TEST(DiskModel, StreamOutOfRangePanics)
 {
     DiskModel disk(DiskGeometry::fujitsuM2351A());
-    disk.load(std::vector<std::uint8_t>(10));
-    EXPECT_DEATH(disk.stream(5, 10, 4, 0,
+    std::vector<std::uint8_t> image(10);
+    EXPECT_DEATH(disk.stream(image, 5, 10, 4, 0,
         [](const std::uint8_t *, std::uint32_t, Tick) {}), "exceeds");
 }
 
