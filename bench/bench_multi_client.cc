@@ -63,10 +63,11 @@ namespace {
  * scan sharded across the workers (the FS1/FS2 overlap is modeled as
  * queueWait, not executed).  The table sweeps the worker count and
  * reports real wall-clock makespan for the whole batch, checking
- * answers stay bit-identical to the sequential path.
+ * answers stay bit-identical to the sequential path.  Returns false
+ * when a row's results differ from the 1-worker baseline.
  */
-void
-batchedFrontDoorSweep(std::uint32_t batch_width, json::Value &json_rows)
+bool
+batchedFrontDoorSweep(json::Value &json_rows)
 {
     using Request = crs::RetrievalRequest;
 
@@ -114,11 +115,10 @@ batchedFrontDoorSweep(std::uint32_t batch_width, json::Value &json_rows)
               "Identical results"});
     std::vector<crs::RetrievalResponse> baseline;
     double base_seconds = 0.0;
+    bool all_identical = true;
     for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
         crs::CrsConfig config;
         config.workers = workers;
-        if (batch_width > 0)
-            config.batchWidth = batch_width;
         crs::ClauseRetrievalServer server(sym, store, config);
         server.serveBatch(batch);    // warm-up
 
@@ -140,6 +140,7 @@ batchedFrontDoorSweep(std::uint32_t batch_width, json::Value &json_rows)
                     results[i].answers == baseline[i].answers;
             }
         }
+        all_identical = all_identical && identical;
 
         char wall[32], jps[32], speedup[32];
         std::snprintf(wall, sizeof(wall), "%.1f ms", seconds * 1e3);
@@ -156,8 +157,6 @@ batchedFrontDoorSweep(std::uint32_t batch_width, json::Value &json_rows)
         json::Value row = json::Value::object();
         row.set("sweep", "batched_front_door");
         row.set("workers", workers);
-        if (batch_width > 0)
-            row.set("batch_width", batch_width);
         row.set("wall_seconds", seconds);
         row.set("identical", identical);
         row.set("total_queue_wait_ticks", queue_wait);
@@ -168,6 +167,7 @@ batchedFrontDoorSweep(std::uint32_t batch_width, json::Value &json_rows)
     }
     t.print(std::cout);
     std::printf("\n");
+    return all_identical;
 }
 
 /**
@@ -950,7 +950,6 @@ main(int argc, char **argv)
     bench::Args args(argc, argv);
     std::string json_path = bench::jsonPathArg(args);
     bench::CacheKnobs cache_knobs = bench::cacheConfigArg(args);
-    std::uint32_t batch_width = bench::batchWidthArg(args);
     LoadGenKnobs lg_knobs = loadGenConfigArg(args);
     double write_mix = writeMixArg(args);
     args.finish();
@@ -1018,7 +1017,7 @@ main(int argc, char **argv)
                 "spreading the\nsame update load over disjoint "
                 "predicates removes the contention.\n\n");
 
-    batchedFrontDoorSweep(batch_width, json_rows);
+    const bool identical = batchedFrontDoorSweep(json_rows);
     repeatedGoalCacheSweep(json_rows, cache_knobs);
     liveWriteMixSweep(write_mix, json_rows);
     if (lg_knobs.enabled) {
@@ -1038,5 +1037,10 @@ main(int argc, char **argv)
     if (!bench::writeBenchJson(json_path, "multi_client",
                                std::move(json_rows)))
         return 1;
+    if (!identical) {
+        std::fprintf(stderr, "bench_multi_client: a batched row differs "
+                     "from the 1-worker results\n");
+        return 1;
+    }
     return 0;
 }

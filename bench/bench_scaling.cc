@@ -39,11 +39,11 @@ namespace {
  * row-major reference scan (clare_oracle) decodes every entry's
  * signature per query, while the
  * transposed plane evaluates 64 entries per word op and touches only
- * the planes whose query bits are set; batch widths > 1 then amortize
- * plane memory traffic across same-predicate queries.  Survivor sets
- * (and all modeled timing) are checked bit-identical per row.
+ * the planes whose query bits are set.  Survivor sets (and all modeled
+ * timing) are checked bit-identical per row; returns false when the
+ * sliced row differs from the reference.
  */
-void
+bool
 slicedScanSweep(json::Value &json_rows)
 {
     term::SymbolTable sym;
@@ -81,50 +81,36 @@ slicedScanSweep(json::Value &json_rows)
 
     fs1::Fs1Engine engine(store.generator());
 
-    // One timed pass: all queries, grouped `width` at a time through
-    // the engine, or one at a time through the row-major reference
-    // scan.
-    auto run = [&](bool is_sliced, std::size_t width) {
+    // One timed pass: every query, one at a time, through the engine
+    // or through the row-major reference scan.
+    auto run = [&](bool is_sliced) {
         std::vector<fs1::Fs1Result> results;
-        if (!is_sliced) {
-            for (const scw::Signature &q : queries)
-                results.push_back(fs1::rowMajorScan(store.generator(),
-                                                    stored.index, q));
-            return results;
-        }
-        for (std::size_t q0 = 0; q0 < queries.size(); q0 += width) {
-            std::size_t count = std::min(width, queries.size() - q0);
-            std::vector<scw::Signature> group(
-                queries.begin() + static_cast<std::ptrdiff_t>(q0),
-                queries.begin() + static_cast<std::ptrdiff_t>(q0 +
-                                                              count));
-            std::vector<obs::Observer> obss(count);
-            std::vector<fs1::Fs1Result> part = engine.searchBatch(
-                stored.index, stored.sliced.get(), group, obss);
-            for (fs1::Fs1Result &r : part)
-                results.push_back(std::move(r));
-        }
+        for (const scw::Signature &q : queries)
+            results.push_back(
+                is_sliced ? engine.search(stored.index,
+                                          stored.sliced.get(), q,
+                                          nullptr, 1)
+                          : fs1::rowMajorScan(store.generator(),
+                                              stored.index, q));
         return results;
     };
 
-    Table t("Bit-sliced FS1 kernel: host scan rate vs batch width "
+    Table t("Bit-sliced FS1 kernel: host scan rate "
             "(60k entries, 16 queries)");
-    t.header({"Kernel", "Width", "Wall time", "Scan rate", "Speedup",
+    t.header({"Kernel", "Wall time", "Scan rate", "Speedup",
               "Identical results"});
 
     std::vector<fs1::Fs1Result> baseline;
     double base_seconds = 0.0;
-    struct Variant { const char *name; bool is_sliced; std::size_t width; };
-    for (const Variant v : {Variant{"row-major", false, 1},
-                            Variant{"sliced", true, 1},
-                            Variant{"sliced", true, 4},
-                            Variant{"sliced", true, 8},
-                            Variant{"sliced", true, 16}}) {
-        run(v.is_sliced, v.width);    // warm-up
+    bool all_identical = true;
+    struct Variant { const char *name; bool is_sliced; };
+    for (const Variant v : {Variant{"row-major", false},
+                            Variant{"sliced", true}}) {
+        run(v.is_sliced);    // warm-up
         auto start = std::chrono::steady_clock::now();
         std::vector<fs1::Fs1Result> results;
         for (int rep = 0; rep < kReps; ++rep)
-            results = run(v.is_sliced, v.width);
+            results = run(v.is_sliced);
         auto stop = std::chrono::steady_clock::now();
         double seconds =
             std::chrono::duration<double>(stop - start).count() / kReps;
@@ -146,19 +132,18 @@ slicedScanSweep(json::Value &json_rows)
                     results[i].busyTime == baseline[i].busyTime;
             }
         }
+        all_identical = all_identical && identical;
 
         char wall[32], speedup[32];
         std::snprintf(wall, sizeof(wall), "%.2f ms", seconds * 1e3);
         std::snprintf(speedup, sizeof(speedup), "%.2fx",
                       base_seconds / seconds);
-        t.row({v.name, std::to_string(v.width), wall,
-               bench::formatRate(batch_bytes / seconds), speedup,
-               identical ? "yes" : "NO"});
+        t.row({v.name, wall, bench::formatRate(batch_bytes / seconds),
+               speedup, identical ? "yes" : "NO"});
 
         json::Value row = json::Value::object();
         row.set("sweep", "sliced_scan_rate");
         row.set("sliced", v.is_sliced);
-        row.set("batch_width", static_cast<std::uint64_t>(v.width));
         row.set("wall_seconds", seconds);
         row.set("bytes_per_second", batch_bytes / seconds);
         row.set("speedup", base_seconds / seconds);
@@ -166,12 +151,11 @@ slicedScanSweep(json::Value &json_rows)
         json_rows.push(std::move(row));
     }
     t.print(std::cout);
-    std::printf("\nshape: slicing wins even at width 1 (only the "
-                "query's set bits load plane rows,\nno per-entry "
-                "decode); widths > 1 reuse each cache-resident plane "
-                "block across\nthe batch.  Survivors, scan statistics, "
-                "and modeled busy time are bit-identical\nto the "
-                "row-major reference scan in every row.\n");
+    std::printf("\nshape: slicing wins (only the query's set bits load "
+                "plane rows, no per-entry\ndecode).  Survivors, scan "
+                "statistics, and modeled busy time are bit-identical\n"
+                "to the row-major reference scan.\n");
+    return all_identical;
 }
 
 /**
@@ -185,7 +169,7 @@ slicedScanSweep(json::Value &json_rows)
  * differ from the 1-worker baseline.
  */
 bool
-workerScalingSweep(std::uint32_t batch_width, json::Value &json_rows)
+workerScalingSweep(json::Value &json_rows)
 {
     using Request = crs::RetrievalRequest;
 
@@ -230,8 +214,6 @@ workerScalingSweep(std::uint32_t batch_width, json::Value &json_rows)
     for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
         crs::CrsConfig config;
         config.workers = workers;
-        if (batch_width > 0)
-            config.batchWidth = batch_width;
         crs::ClauseRetrievalServer server(sym, store, config);
         // Warm-up pass so allocator/page effects don't skew the 1-
         // worker baseline.
@@ -274,8 +256,6 @@ workerScalingSweep(std::uint32_t batch_width, json::Value &json_rows)
         json::Value row = json::Value::object();
         row.set("sweep", "worker_scaling");
         row.set("workers", workers);
-        if (batch_width > 0)
-            row.set("batch_width", batch_width);
         row.set("wall_seconds", seconds);
         row.set("identical", identical);
         row.set("total_queue_wait_ticks", queue_wait);
@@ -415,7 +395,6 @@ main(int argc, char **argv)
     setQuiet(true);
     bench::Args args(argc, argv);
     std::string json_path = bench::jsonPathArg(args);
-    std::uint32_t batch_width = bench::batchWidthArg(args);
     args.finish();
     json::Value json_rows = json::Value::array();
 
@@ -540,18 +519,18 @@ main(int argc, char **argv)
     }
 
     std::printf("\n");
-    bool identical = workerScalingSweep(batch_width, json_rows);
+    bool identical = workerScalingSweep(json_rows);
     std::printf("\n");
     identical = pacedDeviceSweep(json_rows) && identical;
     std::printf("\n");
-    slicedScanSweep(json_rows);
+    identical = slicedScanSweep(json_rows) && identical;
 
     if (!bench::writeBenchJson(json_path, "scaling",
                                std::move(json_rows)))
         return 1;
     if (!identical) {
-        std::fprintf(stderr, "bench_scaling: a worker or paced row "
-                     "differs from the 1-worker results\n");
+        std::fprintf(stderr, "bench_scaling: a worker, paced or "
+                     "kernel row differs from its reference\n");
         return 1;
     }
     return 0;

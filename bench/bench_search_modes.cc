@@ -65,10 +65,9 @@ main(int argc, char **argv)
     crs::CrsConfig crs_config;
     if (cache_knobs.enabled && !fault_config) {
         cache_knobs.apply(crs_config);
-        std::printf("cache hierarchy armed: l3=%u l2=%u/%u "
+        std::printf("cache hierarchy armed: l3=%u l2=%u "
                     "l1_tracks=%u%s\n\n",
                     crs_config.cache.goalCapacity,
-                    crs_config.cache.signatureCapacity,
                     crs_config.cache.survivorCapacity,
                     cache_knobs.l1Tracks,
                     cache_knobs.bypass ? " (bypassed requests)" : "");

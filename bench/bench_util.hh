@@ -217,7 +217,7 @@ struct CacheKnobs
     bool enabled = false;
     /** `--cache-l3=N`: L3 goal-cache capacity (entries; implies on). */
     std::uint32_t l3Capacity = 0;
-    /** `--cache-l2=N`: L2 signature + survivor capacity (implies on). */
+    /** `--cache-l2=N`: L2 survivor-memo capacity (implies on). */
     std::uint32_t l2Capacity = 0;
     /** `--cache-l1-tracks=N`: L1 track-cache capacity per disk. */
     std::uint32_t l1Tracks = 0;
@@ -231,10 +231,8 @@ struct CacheKnobs
         config.cache.enabled = enabled;
         if (l3Capacity > 0)
             config.cache.goalCapacity = l3Capacity;
-        if (l2Capacity > 0) {
-            config.cache.signatureCapacity = l2Capacity;
+        if (l2Capacity > 0)
             config.cache.survivorCapacity = l2Capacity;
-        }
     }
 
     /** Configure the store's L1 track caches when requested. */
@@ -249,7 +247,7 @@ struct CacheKnobs
 /**
  * Parse the cache-hierarchy knobs: `--cache` enables the server-side
  * caches at their defaults, `--cache-l3=N` / `--cache-l2=N` size the
- * goal cache and the signature/survivor memos (either implies
+ * goal cache and the survivor memo (either implies
  * `--cache`), `--cache-l1-tracks=N` sizes the per-disk track cache,
  * and `--cache-bypass` serves every request with bypassCache set.
  */
@@ -266,7 +264,7 @@ cacheConfigArg(Args &args)
     const char *l3 = args.value("--cache-l3", "N",
                                 "L3 goal-cache entries");
     const char *l2 = args.value("--cache-l2", "N",
-                                "L2 signature/survivor entries");
+                                "L2 survivor-memo entries");
     knobs.l3Capacity = count(l3);
     knobs.l2Capacity = count(l2);
     knobs.l1Tracks = count(args.value("--cache-l1-tracks", "N",
@@ -275,21 +273,6 @@ cacheConfigArg(Args &args)
                              "serve every request with bypassCache");
     knobs.enabled = knobs.enabled || l3 != nullptr || l2 != nullptr;
     return knobs;
-}
-
-/**
- * `--batch-width=K`: group up to K same-predicate FS1 goals into one
- * pass over the bit-sliced plane (CrsConfig::batchWidth); 0 when
- * absent.
- */
-inline std::uint32_t
-batchWidthArg(Args &args)
-{
-    const char *v = args.value("--batch-width", "K",
-                               "FS1 goals per plane pass");
-    return v != nullptr
-        ? static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10))
-        : 0u;
 }
 
 /** One retrieval as a JSON row (shared shape across harnesses). */

@@ -23,8 +23,8 @@ ASAN_BUILD="${2:-build-asan}"
 TSAN_BUILD="${3:-build-tsan}"
 
 echo "== tier-1: default build + full ctest =="
-# Allocation counting is on in the default build so the arena and FS2
-# suites' allocation assertions actually run (they skip themselves
+# Allocation counting is on in the default build so the arena, FS2 and
+# CRS suites' allocation assertions actually run (they skip themselves
 # when the interpose is compiled out, e.g. under the sanitizers).
 cmake -B "$BUILD" -S . -DCLARE_COUNT_ALLOCS=ON
 cmake --build "$BUILD" -j
@@ -32,12 +32,13 @@ ctest --test-dir "$BUILD" --output-on-failure -j
 
 echo "== tier-1: allocation assertions ran =="
 # The zero-allocation assertions (test_fs2's per-clause FS2 search,
-# test_arena's warm serving loop) skip themselves when the counting
-# hook is compiled out, and ctest reports a skipped test as passed.
-# They only prove something in this build, so a skip here is a
-# failure.
+# test_crs's per-clause SoftwareOnly scan, test_arena's warm serving
+# loop) skip themselves when the counting hook is compiled out, and
+# ctest reports a skipped test as passed.  They only prove something
+# in this build, so a skip here is a failure.
 for check in \
     test_fs2:Fs2EngineTest.SearchAllocationsDoNotGrowWithClauseCount \
+    test_crs:CrsTest.SoftwareOnlyServeAllocationsDoNotGrowWithClauseCount \
     test_arena:ZeroCopyServingTest.SteadyStateWarmHitsAllocateAlmostNothing
 do
     out=$("$BUILD/tests/${check%%:*}" --gtest_filter="${check#*:}")

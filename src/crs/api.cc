@@ -80,8 +80,6 @@ CrsConfig::validate() const
     if (cache.enabled) {
         require(cache.goalCapacity >= 1, "cache.goalCapacity",
                 "an enabled goal cache needs at least one entry");
-        require(cache.signatureCapacity >= 1, "cache.signatureCapacity",
-                "an enabled signature memo needs at least one entry");
         require(cache.survivorCapacity >= 1, "cache.survivorCapacity",
                 "an enabled survivor memo needs at least one entry");
         require(cache.goalHitCost <= kSecond, "cache.goalHitCost",
@@ -98,14 +96,6 @@ CrsConfig::validate() const
             "need at least the calling thread (sequential path is 1)");
     require(workers <= 1024, "workers",
             "more than 1024 workers is a configuration error");
-
-    // Batch scanning groups FS1 goals into one pass over the sliced
-    // plane.
-    require(batchWidth >= 1, "batchWidth",
-            "batch width 0 would mean no query is ever scanned");
-    require(batchWidth <= 256, "batchWidth",
-            "more than 256 queries per plane pass is a configuration "
-            "error");
 
     // Fault handling: zero attempts would mean "never read anything";
     // an unbounded retry count turns a permanently bad sector into a

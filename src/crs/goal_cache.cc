@@ -19,13 +19,6 @@ GoalCache::find(const std::string &key)
 }
 
 bool
-GoalCache::contains(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cache_.contains(key);
-}
-
-bool
 GoalCache::put(const std::string &key, const term::PredicateId &pred,
                RetrievalResponse response)
 {

@@ -61,9 +61,6 @@ class GoalCache
      */
     std::shared_ptr<const Entry> find(const std::string &key);
 
-    /** Lookup without promotion (batch prediction passes). */
-    bool contains(const std::string &key) const;
-
     /**
      * Admit a hit-shaped response under @p key, remembering @p pred
      * for per-predicate invalidation.  The wire blob is baked here

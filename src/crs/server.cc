@@ -1,7 +1,6 @@
 #include "crs/server.hh"
 
 #include <algorithm>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -119,8 +118,6 @@ ClauseRetrievalServer::ClauseRetrievalServer(term::SymbolTable &symbols,
     if (config_.cache.enabled && config_.faults == nullptr) {
         goalCache_ = std::make_unique<GoalCache>(
             config_.cache.goalCapacity);
-        signatureCache_ = std::make_unique<scw::SignatureCache>(
-            config_.cache.signatureCapacity);
         survivorCache_ = std::make_unique<fs1::SurvivorCache>(
             config_.cache.survivorCapacity);
     }
@@ -311,7 +308,7 @@ ClauseRetrievalServer::scanIndex(const StoredPredicate &stored,
 }
 
 // ---------------------------------------------------------------------
-// Cache plumbing (L2 signature/survivor memos, L3 goal cache).
+// Cache plumbing (L2 survivor memo, L3 goal cache).
 // ---------------------------------------------------------------------
 
 std::string
@@ -368,21 +365,6 @@ ClauseRetrievalServer::survivorKey(const term::PredicateId &pred,
     for (const BitVec &field : sig.fields)
         field.serialize(bytes);
     return std::string(bytes.begin(), bytes.end());
-}
-
-scw::Signature
-ClauseRetrievalServer::lookupSignature(const std::string &goal_key,
-                                       const TermArena &q_arena,
-                                       TermRef goal,
-                                       const obs::Observer &obs)
-{
-    if (std::optional<scw::Signature> memo =
-            signatureCache_->find(goal_key, obs)) {
-        return *memo;
-    }
-    scw::Signature sig = store_.generator().encode(q_arena, goal);
-    signatureCache_->put(goal_key, sig);
-    return sig;
 }
 
 IndexScan
@@ -458,7 +440,6 @@ ClauseRetrievalServer::invalidateCaches()
 {
     if (goalCache_ != nullptr) {
         goalCache_->clear();
-        signatureCache_->clear();
         survivorCache_->clear();
         std::lock_guard<std::mutex> lock(generationMutex_);
         indexGeneration_.clear();
@@ -516,8 +497,7 @@ ClauseRetrievalServer::serve(const RetrievalRequest &request)
     obs::Observer ob = observer(request.trace);
     obs::ScopedSpan root(ob.tracer, "crs.retrieve");
     root.attr("mode", std::string(searchModeSlug(response.mode)));
-    retrieve(*pinned, pred, request, nullptr, std::nullopt, ob, root.id(),
-             response);
+    retrieve(*pinned, pred, request, ob, root.id(), response);
     accountQuery(response, root);
     return response;
 }
@@ -535,9 +515,7 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
     metrics_.gauge(kLastBatchSize).set(static_cast<double>(n));
 
     // Resolve predicates, MVCC pins and modes up front (cheap,
-    // read-only).  The pins keep every version (and its images) alive
-    // for the whole batch, so a group scanned at its first member
-    // still matches the version its later members pinned.
+    // read-only); the pins keep every version alive for the batch.
     std::vector<std::shared_ptr<const StoredPredicate>> pins(n);
     std::vector<term::PredicateId> preds(n);
     bool any_tracing = false;
@@ -553,97 +531,11 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
         any_tracing = any_tracing || batch[i].trace.enabled;
     }
 
-    // One batch-level span parents every per-query root and every
-    // group scan, so the exported trace stays a single tree.
+    // One batch-level span parents every per-query root, so the
+    // exported trace stays a single tree.
     obs::ScopedSpan batch_span(any_tracing ? &tracer_ : nullptr,
                                "crs.batch");
     batch_span.attr("requests", static_cast<std::uint64_t>(n));
-
-    // Multi-query batch scanning: group FS1-mode goals of the same
-    // pinned version (up to batchWidth, in batch order) so one pass
-    // over the plane answers the whole group.  Predicted cache hits
-    // stay ungrouped — they are expected to skip the scan entirely —
-    // and fault-armed runs group nothing, since scanIndex() models
-    // per-query fault exposure.  Each grouped query's Fs1Result is
-    // bit-identical to its own scan, so responses are unaffected.
-    constexpr std::size_t kNoGroup = ~std::size_t{0};
-    std::vector<std::size_t> group_of(n, kNoGroup);
-    std::vector<std::vector<std::size_t>> groups;
-    std::vector<std::optional<scw::Signature>> sigs(n);
-    if (config_.batchWidth > 1 && config_.faults == nullptr) {
-        // Predict hits on the calling thread, in batch order: a goal
-        // already resident in L3 or filled by an earlier request of
-        // this batch, or a scan whose survivor memo is resident or
-        // filled earlier.  The signatures resolved here are handed to
-        // retrieve() so each request consults the L2a memo once.
-        std::set<std::string> batch_goal_keys;
-        std::set<std::string> batch_survivor_keys;
-        std::map<const StoredPredicate *, std::size_t> open;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!usesFs1(out[i].mode))
-                continue;
-            if (cachingActive(batch[i])) {
-                std::string gkey =
-                    goalKey(*batch[i].arena, batch[i].goal,
-                            out[i].mode, pins[i]->generation);
-                if (goalCache_->contains(gkey) ||
-                    !batch_goal_keys.insert(gkey).second)
-                    continue;
-                sigs[i] = lookupSignature(gkey, *batch[i].arena,
-                                          batch[i].goal,
-                                          observer(batch[i].trace));
-                std::string skey = survivorKey(preds[i], *sigs[i],
-                                               pins[i]->generation);
-                if (survivorCache_->contains(skey) ||
-                    !batch_survivor_keys.insert(skey).second)
-                    continue;
-            }
-            // A live (base + delta) version routes through the split
-            // scan, not the batch plane pass: the base plane alone
-            // does not cover the composite file.
-            if (pins[i]->deltaSliced != nullptr)
-                continue;
-            // Keyed by the pinned version, not the predicate id: two
-            // requests of one predicate can pin different MVCC
-            // versions, and a group must share one index.
-            auto it = open.find(pins[i].get());
-            if (it == open.end() ||
-                groups[it->second].size() >= config_.batchWidth) {
-                groups.emplace_back();
-                it = open.insert_or_assign(pins[i].get(),
-                                           groups.size() - 1).first;
-            }
-            group_of[i] = it->second;
-            groups[it->second].push_back(i);
-        }
-    }
-    // Groups are scanned lazily, when their first member is served,
-    // and deliver members their scans in batch order.
-    std::vector<std::vector<IndexScan>> group_scans(groups.size());
-    std::vector<std::size_t> group_next(groups.size(), 0);
-    auto take_group_scan = [&](std::size_t i) -> std::optional<IndexScan> {
-        const std::size_t g = group_of[i];
-        if (g == kNoGroup)
-            return std::nullopt;
-        if (group_scans[g].empty()) {
-            const StoredPredicate &sp = *pins[groups[g].front()];
-            std::vector<scw::Signature> qsigs;
-            std::vector<obs::Observer> obss;
-            for (std::size_t m : groups[g]) {
-                qsigs.push_back(sigs[m] ? *sigs[m]
-                                        : store_.generator().encode(
-                                              *batch[m].arena,
-                                              batch[m].goal));
-                obss.push_back(observer(batch[m].trace));
-            }
-            std::vector<fs1::Fs1Result> results = fs1_.searchBatch(
-                sp.index, sp.sliced.get(), qsigs, obss, batch_span.id());
-            group_scans[g].resize(results.size());
-            for (std::size_t k = 0; k < results.size(); ++k)
-                group_scans[g][k].fs1 = std::move(results[k]);
-        }
-        return std::move(group_scans[g][group_next[g]++]);
-    };
 
     // Modeled pipeline timeline (workers > 1): the FS1 hardware scans
     // the batch serially while the serial host back half drains
@@ -656,14 +548,11 @@ ClauseRetrievalServer::serveBatch(const std::vector<RetrievalRequest> &
     Tick fs1_free = 0;
     Tick back_free = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        std::optional<IndexScan> grouped = take_group_scan(i);
         obs::Observer ob = observer(batch[i].trace);
         obs::ScopedSpan root(ob.tracer, "crs.retrieve", batch_span.id());
         root.attr("mode", std::string(searchModeSlug(out[i].mode)));
         root.attr("batch_index", static_cast<std::uint64_t>(i));
-        retrieve(*pins[i], preds[i], batch[i],
-                 sigs[i] ? &*sigs[i] : nullptr, std::move(grouped), ob,
-                 root.id(), out[i]);
+        retrieve(*pins[i], preds[i], batch[i], ob, root.id(), out[i]);
         if (model_queue) {
             StageBreakdown &stages = out[i].breakdown;
             Tick scan_done = fs1_free + stages.indexTime;
@@ -701,8 +590,6 @@ void
 ClauseRetrievalServer::retrieve(const StoredPredicate &stored,
                                 const term::PredicateId &pred,
                                 const RetrievalRequest &request,
-                                const scw::Signature *sig,
-                                std::optional<IndexScan> grouped,
                                 const obs::Observer &ob, obs::SpanId root,
                                 RetrievalResponse &response)
 {
@@ -721,30 +608,22 @@ ClauseRetrievalServer::retrieve(const StoredPredicate &stored,
 
     IndexScan scan;
     if (usesFs1(response.mode) && caching) {
-        scw::Signature looked_up;
-        if (sig == nullptr) {
-            looked_up = lookupSignature(goal_key, *request.arena,
-                                        request.goal, ob);
-            sig = &looked_up;
-        }
-        std::string skey = survivorKey(pred, *sig, stored.generation);
+        scw::Signature sig =
+            store_.generator().encode(*request.arena, request.goal);
+        std::string skey = survivorKey(pred, sig, stored.generation);
         if (std::shared_ptr<const fs1::Fs1Result> memo =
                 survivorCache_->find(skey, ob)) {
             // The mutable working copy is made here, outside the cache
             // mutex — the memo itself is shared and never copied under
-            // it.  A group scan taken for this request is dropped:
-            // timing follows the cache state, not the grouping.
+            // it.
             scan.fs1 = *memo;
             scan.fromCache = true;
         } else {
-            scan = grouped ? std::move(*grouped)
-                           : rawScan(stored, *sig, ob, root);
+            scan = rawScan(stored, sig, ob, root);
             survivorCache_->put(skey, scan.fs1);
         }
     } else if (usesFs1(response.mode)) {
-        scan = grouped ? std::move(*grouped)
-                       : scanIndex(stored, *request.arena, request.goal,
-                                   ob, root);
+        scan = scanIndex(stored, *request.arena, request.goal, ob, root);
     }
     finishRetrieval(stored, request, std::move(scan), ob, root, response);
     if (caching)
@@ -797,7 +676,7 @@ ClauseRetrievalServer::finishRetrieval(const StoredPredicate &stored,
     SearchMode mode = response.mode;
 
     if (usesFs1(mode) && scan.fromCache) {
-        // L2b survivor replay: the memoized Fs1Result carries the
+        // L2 survivor replay: the memoized Fs1Result carries the
         // scan statistics verbatim, so the payload is bit-identical
         // to a recomputation, but no disk read or FS1 pass happens —
         // the breakdown charges only the modeled memo lookup.

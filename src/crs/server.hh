@@ -44,7 +44,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +55,6 @@
 #include "fs1/fs1_engine.hh"
 #include "fs1/survivor_cache.hh"
 #include "fs2/fs2_engine.hh"
-#include "scw/signature_cache.hh"
 #include "support/logging.hh"
 #include "support/obs.hh"
 #include "support/sim_time.hh"
@@ -83,8 +81,8 @@ struct HostCostModel
 };
 
 /**
- * Configuration of the server-side cache levels (L2 signature +
- * survivor memos, L3 goal-result cache).  The L1 disk track cache is
+ * Configuration of the server-side cache levels (L2 FS1 survivor
+ * memo, L3 goal-result cache).  The L1 disk track cache is
  * configured on the PredicateStore, which owns the modeled disks —
  * see PredicateStore::configureDiskCaches().
  *
@@ -103,10 +101,7 @@ struct CacheConfig
     /** Modeled cost of an L3 hit (hash + lookup + payload copy). */
     Tick goalHitCost = 2 * kMicrosecond;
 
-    /** L2a encoded-signature memo entries. */
-    std::uint32_t signatureCapacity = 512;
-
-    /** L2b FS1 survivor-set memo entries. */
+    /** L2 FS1 survivor-set memo entries. */
     std::uint32_t survivorCapacity = 128;
     /** Modeled cost of replaying a memoized survivor set. */
     Tick survivorHitCost = 10 * kMicrosecond;
@@ -128,16 +123,6 @@ struct CrsConfig
      * sets are identical at every setting.
      */
     std::uint32_t workers = 1;
-
-    /**
-     * serveBatch() multi-query batch scanning: up to this many
-     * FS1-mode goals of one predicate are answered by a single pass
-     * over the predicate's bit-sliced plane.  1 (default) scans per
-     * query.  Widths > 1 compose with workers and the caches; results
-     * stay bit-identical because each grouped query is accounted
-     * exactly like its own full-file scan.
-     */
-    std::uint32_t batchWidth = 1;
 
     /**
      * Bound on modeled re-reads of a chunk after transient disk
@@ -232,15 +217,13 @@ class ClauseRetrievalServer : public CacheInvalidationSink
      * Batched front door: retrieve every request, one after another
      * in batch order, through the same per-request body as serve();
      * candidates, answers, and elapsed are identical to calling
-     * serve() in a loop.  With batchWidth > 1, FS1-mode goals of one
-     * predicate share a plane pass (see CrsConfig::batchWidth).  With
-     * workers > 1 each response's breakdown.queueWait reports the
-     * simulated time its finished FS1 scan waited for the serial back
-     * half of the modeled hardware pipeline.
+     * serve() in a loop.  With workers > 1 each response's
+     * breakdown.queueWait reports the simulated time its finished FS1
+     * scan waited for the serial back half of the modeled hardware
+     * pipeline.
      *
      * Batch split contract (what the sharded scatter/gather relies
-     * on): all retrieval state — caches, MVCC version pins, the
-     * predicted cache hits that keep a goal out of a scan group — is
+     * on): all retrieval state — caches and MVCC version pins — is
      * keyed per predicate, so any partition of a batch into
      * sub-batches that preserves the relative order of same-predicate
      * requests yields per-item responses identical to serving the
@@ -285,9 +268,9 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     void invalidatePredicate(const term::PredicateId &pred) override;
 
     /**
-     * Wholesale invalidation: clear all three server-side cache levels
-     * and the store's disk track caches.  Call after a store reload —
-     * clause ordinals and file offsets may all have changed.
+     * Wholesale invalidation: clear both server-side cache levels
+     * (L2, L3) and the store's disk track caches.  Call after a store
+     * reload — clause ordinals and file offsets may all have changed.
      */
     void invalidateCaches();
 
@@ -320,13 +303,11 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     // server adds no locking of its own around lookups.
     /** L3: canonical goal + mode → full response payload. */
     std::unique_ptr<GoalCache> goalCache_;
-    /** L2a: canonical goal → encoded query signature. */
-    std::unique_ptr<scw::SignatureCache> signatureCache_;
-    /** L2b: predicate + signature + generation → FS1 survivor set. */
+    /** L2: predicate + signature + generation → FS1 survivor set. */
     std::unique_ptr<fs1::SurvivorCache> survivorCache_;
     /**
      * Per-predicate index generation, bumped by invalidatePredicate();
-     * part of every L2b key, so survivor memos of an updated predicate
+     * part of every L2 key, so survivor memos of an updated predicate
      * can never match again (they age out of the LRU).
      */
     mutable std::mutex generationMutex_;
@@ -393,16 +374,10 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     /** Current index generation of a predicate (0 until written). */
     std::uint64_t generationOf(const term::PredicateId &pred) const;
 
-    /** L2b key: predicate + generations + signature bytes. */
+    /** L2 key: predicate + generations + signature bytes. */
     std::string survivorKey(const term::PredicateId &pred,
                             const scw::Signature &sig,
                             std::uint64_t store_generation) const;
-
-    /** Encode the goal's signature through the L2a memo. */
-    scw::Signature lookupSignature(const std::string &goal_key,
-                                   const term::TermArena &q_arena,
-                                   term::TermRef goal,
-                                   const obs::Observer &obs);
 
     /**
      * FS1 scan with a precomputed signature and no fault modeling
@@ -435,17 +410,13 @@ class ClauseRetrievalServer : public CacheInvalidationSink
     /**
      * The per-request body of serve() and serveBatch(), for a request
      * whose response.mode is resolved: the L3 consult (a hit ends
-     * here), the FS1 stage (with caches: the L2a signature — @p sig
-     * when the caller resolved it — then the L2b survivor memo, else
-     * @p grouped or a fresh scan, admitted to the memo; without:
-     * @p grouped or scanIndex()), finishRetrieval(), and L3 admission.
-     * @p grouped is this request's share of a batch group scan.
+     * here), the FS1 stage (with caches: the goal's signature keys
+     * the L2 survivor memo, else a fresh scan is admitted to it;
+     * without: scanIndex()), finishRetrieval(), and L3 admission.
      */
     void retrieve(const StoredPredicate &stored,
                   const term::PredicateId &pred,
                   const RetrievalRequest &request,
-                  const scw::Signature *sig,
-                  std::optional<IndexScan> grouped,
                   const obs::Observer &ob, obs::SpanId root,
                   RetrievalResponse &response);
 

@@ -22,10 +22,6 @@ const obs::CounterDef kBytesScanned{"fs1.bytes_scanned",
                                     "secondary file bytes streamed"};
 const obs::CounterDef kWordOps{"fs1.sliced.word_ops",
                                "64-bit plane operations in sliced scans"};
-const obs::CounterDef kBatches{"fs1.sliced.batches",
-                               "multi-query batch plane scans"};
-const obs::CounterDef kBatchQueries{
-    "fs1.sliced.batch_queries", "queries answered by batch plane scans"};
 
 /**
  * Every stored predicate carries a plane over its whole index (a live
@@ -234,67 +230,6 @@ Fs1Engine::search(const scw::SecondaryFile &index,
         span.setSimTicks(result.busyTime);
     }
     return result;
-}
-
-std::vector<Fs1Result>
-Fs1Engine::searchBatch(const scw::SecondaryFile &index,
-                       const scw::BitSlicedIndex *sliced,
-                       const std::vector<scw::Signature> &queries,
-                       const std::vector<obs::Observer> &observers,
-                       obs::SpanId parent) const
-{
-    clare_assert(observers.size() == queries.size(),
-                 "searchBatch needs one observer per query (%zu for "
-                 "%zu queries)", observers.size(), queries.size());
-    std::vector<Fs1Result> out;
-    out.reserve(queries.size());
-    if (queries.size() <= 1) {
-        for (std::size_t k = 0; k < queries.size(); ++k)
-            out.push_back(search(index, sliced, queries[k], nullptr, 1,
-                                 observers[k], parent));
-        return out;
-    }
-
-    requireFullPlane(index, sliced);
-    SlicedMatcher matcher;
-    std::vector<SlicedMatcher::Hits> hits =
-        matcher.scanBatch(*sliced, queries);
-    if (observers[0].metrics != nullptr) {
-        ++observers[0].metrics->counter(kBatches);
-        observers[0].metrics->counter(kBatchQueries) += queries.size();
-    }
-    for (std::size_t k = 0; k < queries.size(); ++k) {
-        const obs::Observer &ob = observers[k];
-        obs::ScopedSpan span(ob.tracer, "fs1.scan", parent);
-        // Each query of the batch is accounted exactly like its own
-        // sequential full-file scan: the modeled hardware streams the
-        // file once per query (the host merely computed them
-        // together), so entriesScanned, bytesScanned, and busyTime
-        // are bit-identical to the unbatched path.
-        ShardScan scan;
-        scan.clauseOffsets = std::move(hits[k].clauseOffsets);
-        scan.ordinals = std::move(hits[k].ordinals);
-        scan.entriesScanned = index.entryCount();
-        scan.bytesScanned = index.image().size();
-        scan.wordOps = hits[k].wordOps;
-        std::vector<ShardScan> one;
-        one.push_back(std::move(scan));
-        Fs1Result result = merge(std::move(one), ob);
-        if (span.active()) {
-            span.attr("shards",
-                      static_cast<std::uint64_t>(result.shards));
-            span.attr("hits", static_cast<std::uint64_t>(
-                          result.ordinals.size()));
-            span.attr("batch_width",
-                      static_cast<std::uint64_t>(queries.size()));
-            span.setSimTicks(result.busyTime);
-        }
-        out.push_back(std::move(result));
-    }
-    // Paced replay charges the modeled device serially per query,
-    // exactly like the unbatched path would.
-    pace(index.image().size() * queries.size());
-    return out;
 }
 
 } // namespace clare::fs1

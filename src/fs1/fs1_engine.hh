@@ -138,24 +138,6 @@ class Fs1Engine
                      const obs::Observer &obs = {},
                      obs::SpanId parent = 0) const;
 
-    /**
-     * Multi-query batch scan: answer @p queries over one index in a
-     * single pass over the sliced plane (blocks outer, queries
-     * inner), amortizing index memory traffic across the batch.
-     * Element k is bit-identical to the one-plane search() of
-     * queries[k] — same survivors, same entriesScanned/bytesScanned/
-     * busyTime — and each query is accounted (stats, metrics, spans)
-     * as its own search.  A one-query batch simply runs that search.
-     *
-     * @param observers one observer per query (sizes must match)
-     */
-    std::vector<Fs1Result>
-    searchBatch(const scw::SecondaryFile &index,
-                const scw::BitSlicedIndex *sliced,
-                const std::vector<scw::Signature> &queries,
-                const std::vector<obs::Observer> &observers,
-                obs::SpanId parent = 0) const;
-
   private:
     /** Hits and counters of one shard, merged in shard order. */
     struct ShardScan

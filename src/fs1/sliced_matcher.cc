@@ -9,10 +9,10 @@ namespace clare::fs1 {
 namespace {
 
 /**
- * Words evaluated per block (16 K entries).  Small enough that one
- * block of every touched plane row stays cache-resident while the
- * batch inner loop revisits it per query, large enough that the loop
- * overhead amortizes.
+ * Words evaluated per block (16 K entries).  Small enough that the
+ * block's survivor words stay cache-resident while every touched
+ * field folds into them, large enough that the loop overhead
+ * amortizes.
  */
 constexpr std::size_t kBlockWords = 256;
 
@@ -115,37 +115,6 @@ SlicedMatcher::scanRange(const scw::BitSlicedIndex &plane,
         scanBlock(plane, plan, bw, count,
                   bw == masks.firstWord ? masks.firstMask : kAllOnes,
                   masks.lastWord, masks.lastMask, out);
-    }
-    return out;
-}
-
-std::vector<SlicedMatcher::Hits>
-SlicedMatcher::scanBatch(const scw::BitSlicedIndex &plane,
-                         const std::vector<scw::Signature> &queries)
-{
-    std::vector<Hits> out(queries.size());
-    if (queries.empty() || plane.entryCount() == 0)
-        return out;
-
-    std::vector<QueryPlan> plans;
-    plans.reserve(queries.size());
-    for (const scw::Signature &query : queries)
-        plans.push_back(buildPlan(plane, query));
-
-    const EdgeMasks masks = edgeMasks(0, plane.entryCount());
-    clare_assert(masks.wordEnd == plane.planeWords(),
-                 "plane row of %zu words for %zu entries",
-                 plane.planeWords(), plane.entryCount());
-
-    // Blocks outer, queries inner: each block of plane words is
-    // loaded once and revisited (cache-hot) by every query in the
-    // batch, instead of streaming the whole plane K times.
-    for (std::size_t bw = 0; bw < masks.wordEnd; bw += kBlockWords) {
-        const std::size_t count = std::min(kBlockWords,
-                                           masks.wordEnd - bw);
-        for (std::size_t q = 0; q < queries.size(); ++q)
-            scanBlock(plane, plans[q], bw, count, kAllOnes,
-                      masks.lastWord, masks.lastMask, out[q]);
     }
     return out;
 }

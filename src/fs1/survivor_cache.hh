@@ -1,6 +1,6 @@
 /**
  * @file
- * L2b of the retrieval cache hierarchy: memoized FS1 survivor sets.
+ * L2 of the retrieval cache hierarchy: memoized FS1 survivor sets.
  *
  * An FS1 scan is a pure function of (query signature, secondary
  * file), so its result — the surviving clause ordinals and offsets,
@@ -46,9 +46,6 @@ class SurvivorCache
      */
     std::shared_ptr<const Fs1Result> find(const std::string &key,
                                           const obs::Observer &obs = {});
-
-    /** Lookup without promotion or counters (prediction passes). */
-    bool contains(const std::string &key) const;
 
     /** Memoize a merged scan result; returns true on eviction. */
     bool put(const std::string &key, const Fs1Result &result);

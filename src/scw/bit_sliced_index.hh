@@ -12,9 +12,7 @@
  *
  *     survivors &= (AND over b in Q_f of plane[f][b])  |  mask[f]
  *
- * — evaluated 64 entries per 64-bit word operation, and one pass over
- * the planes can answer many queries at once (multi-query batch
- * scanning).  The plane is persisted as index format v3: the framed
+ * — evaluated 64 entries per 64-bit word operation.  The plane is persisted as index format v3: the framed
  * .idx payload carries the entry records followed by a "CLSX" section
  * holding the plane words under their own CRC.
  *

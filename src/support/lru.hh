@@ -53,7 +53,7 @@ class LruCache
         return &it->second->second;
     }
 
-    /** Lookup without promotion (for prediction passes). */
+    /** Lookup without promotion. */
     bool
     contains(const Key &key) const
     {

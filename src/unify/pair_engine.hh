@@ -79,7 +79,10 @@ class PairEngine
   public:
     PairEngine(int level, bool cross_binding);
 
-    /** Reset all cells for a new clause (and, if needed, resize). */
+    /**
+     * Reset all cells for a new clause, resizing within the cell
+     * vectors' retained capacity (they only allocate to grow).
+     */
     void reset(std::uint32_t db_slots, std::uint32_t query_slots);
 
     /**

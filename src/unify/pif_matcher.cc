@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/logging.hh"
-#include "unify/pair_engine.hh"
 
 namespace clare::unify {
 
@@ -21,14 +20,12 @@ PifMatchResult::datapathOps() const
 }
 
 PifMatcher::PifMatcher(PifMatchConfig config)
-    : config_(config)
+    : config_(config), engine_(config.level, config.crossBinding)
 {
-    clare_assert(config_.level >= 1 && config_.level <= 3,
-                 "PifMatcher level must be 1-3, got %d", config_.level);
 }
 
 PifMatchResult
-PifMatcher::match(const EncodedArgs &db, const EncodedArgs &query) const
+PifMatcher::match(const EncodedArgs &db, const EncodedArgs &query)
 {
     clare_assert(db.argCount() == query.argCount(),
                  "argument count mismatch: db %zu vs query %zu",
@@ -39,8 +36,7 @@ PifMatcher::match(const EncodedArgs &db, const EncodedArgs &query) const
         ++result.opCounts[static_cast<std::size_t>(op)];
     };
 
-    PairEngine engine(config_.level, config_.crossBinding);
-    engine.reset(db.varSlots, query.varSlots);
+    engine_.reset(db.varSlots, query.varSlots);
 
     bool hit = true;
     std::size_t di = 0;
@@ -51,7 +47,7 @@ PifMatcher::match(const EncodedArgs &db, const EncodedArgs &query) const
         const PifItem &dh = db.items[di];
         const PifItem &qh = query.items[qi];
 
-        if (!engine.matchPair(dh, qh, sink)) {
+        if (!engine_.matchPair(dh, qh, sink)) {
             hit = false;    // hardware rejects at first mismatch
             break;
         }
@@ -66,8 +62,8 @@ PifMatcher::match(const EncodedArgs &db, const EncodedArgs &query) const
             std::uint32_t qn = pif::tagArity(qh.tag);
             std::uint32_t common = std::min(dn, qn);
             for (std::uint32_t i = 0; i < common && hit; ++i) {
-                if (!engine.matchPair(db.items[di + 1 + i],
-                                      query.items[qi + 1 + i], sink)) {
+                if (!engine_.matchPair(db.items[di + 1 + i],
+                                       query.items[qi + 1 + i], sink)) {
                     hit = false;
                 }
             }

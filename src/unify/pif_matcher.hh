@@ -28,6 +28,7 @@
 #define CLARE_UNIFY_PIF_MATCHER_HH
 
 #include "pif/encoder.hh"
+#include "unify/pair_engine.hh"
 #include "unify/tue_op.hh"
 
 namespace clare::unify {
@@ -64,15 +65,19 @@ class PifMatcher
     /**
      * Match a compiled clause-head argument stream against a compiled
      * query argument stream.  The two streams must have the same
-     * argument count (same predicate arity).
+     * argument count (same predicate arity).  The binding cells are
+     * reset per call and keep their capacity, so a scan that reuses
+     * one matcher allocates nothing per clause once the cells have
+     * grown to the widest head.
      */
     PifMatchResult match(const pif::EncodedArgs &db,
-                         const pif::EncodedArgs &query) const;
+                         const pif::EncodedArgs &query);
 
     const PifMatchConfig &config() const { return config_; }
 
   private:
     PifMatchConfig config_;
+    PairEngine engine_;
 };
 
 } // namespace clare::unify

@@ -23,8 +23,8 @@
  * on every answer/candidate, and the wire path — which sends the
  * cached blob verbatim — stays bit-identical (answers AND every
  * modeled tick) to the local front door, cold and warm, at workers
- * {1,4} and batch widths {1,4}.  With -DCLARE_COUNT_ALLOCS=ON a
- * steady-state warm hit is also checked to allocate (nearly) nothing.
+ * {1,4}.  With -DCLARE_COUNT_ALLOCS=ON a steady-state warm hit is also
+ * checked to allocate (nearly) nothing.
  */
 
 #include <gtest/gtest.h>

@@ -7,9 +7,8 @@
  * deliveries are never admitted, and the disabled state is
  * bit-identical to the pre-cache model.
  *
- * L2 — scw::SignatureCache + fs1::SurvivorCache: repeated (canonical)
- * goals skip encoding and the index scan; the replayed Fs1Result is
- * verbatim.
+ * L2 — fs1::SurvivorCache: a repeated query signature skips the index
+ * scan; the replayed Fs1Result is verbatim.
  *
  * L3 — crs::GoalCache: a hit replays the full response payload
  * bit-identically while charging only the modeled cache lookup;
@@ -508,7 +507,7 @@ TEST_F(ServerCacheTest, BypassOnWarmServerMatchesCacheDisabledServer)
 TEST_F(ServerCacheTest, SurvivorMemoServesRepeatedSignatureAcrossModes)
 {
     // Same goal, different mode: a different L3 key but the same
-    // query signature, so the FS1 survivor set replays from L2b.
+    // query signature, so the FS1 survivor set replays from L2.
     auto server = makeServer(cachedConfig());
     crs::RetrievalResponse two_stage =
         server->serve(request(goals[0], crs::SearchMode::TwoStage));
@@ -635,49 +634,42 @@ TEST_F(ServerCacheTest, BatchQueueWaitFollowsModeledPipeline)
                 batch.push_back(request(goal, mode));
 
     for (std::uint32_t workers : {2u, 4u}) {
-        for (std::uint32_t width : {1u, 4u}) {
-            SCOPED_TRACE("workers " + std::to_string(workers) +
-                         " batchWidth " + std::to_string(width));
-            crs::CrsConfig config = cachedConfig();
-            config.workers = workers;
-            config.batchWidth = width;
-            auto server = makeServer(config);
-            std::vector<crs::RetrievalResponse> out =
-                server->serveBatch(batch);
-            ASSERT_EQ(out.size(), batch.size());
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        crs::CrsConfig config = cachedConfig();
+        config.workers = workers;
+        auto server = makeServer(config);
+        std::vector<crs::RetrievalResponse> out = server->serveBatch(batch);
+        ASSERT_EQ(out.size(), batch.size());
 
-            // The modeled hardware pipeline: FS1 scans back to back,
-            // the host back half drains them in batch order.
-            Tick fs1_free = 0;
-            Tick back_free = 0;
-            Tick total_wait = 0;
-            for (std::size_t i = 0; i < out.size(); ++i) {
-                const crs::StageBreakdown &b = out[i].breakdown;
-                Tick scan_done = fs1_free + b.indexTime;
-                fs1_free = scan_done;
-                Tick back_start = std::max(scan_done, back_free);
-                EXPECT_EQ(b.queueWait, back_start - scan_done)
-                    << "item " << i;
-                back_free = back_start + b.cacheTime + b.filterTime +
-                    b.hostUnifyTime;
-                if (b.queueWait != 0) {
-                    EXPECT_EQ(out[i].replayBlob, nullptr)
-                        << "item " << i;
-                }
-                total_wait += b.queueWait;
+        // The modeled hardware pipeline: FS1 scans back to back, the
+        // host back half drains them in batch order.
+        Tick fs1_free = 0;
+        Tick back_free = 0;
+        Tick total_wait = 0;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            const crs::StageBreakdown &b = out[i].breakdown;
+            Tick scan_done = fs1_free + b.indexTime;
+            fs1_free = scan_done;
+            Tick back_start = std::max(scan_done, back_free);
+            EXPECT_EQ(b.queueWait, back_start - scan_done) << "item " << i;
+            back_free = back_start + b.cacheTime + b.filterTime +
+                b.hostUnifyTime;
+            if (b.queueWait != 0) {
+                EXPECT_EQ(out[i].replayBlob, nullptr) << "item " << i;
             }
-            EXPECT_GT(total_wait, 0u);
-            EXPECT_GT(counter(*server, "crs.cache.hits"), 0u);
-            EXPECT_GT(counter(*server, "fs1.cache.survivor_hits"), 0u);
+            total_wait += b.queueWait;
         }
+        EXPECT_GT(total_wait, 0u);
+        EXPECT_GT(counter(*server, "crs.cache.hits"), 0u);
+        EXPECT_GT(counter(*server, "fs1.cache.survivor_hits"), 0u);
     }
 }
 
 TEST_F(ServerCacheTest, BatchAtCapacityOneMatchesServeLoop)
 {
     // One-entry caches evict between a request and its repeat, so a
-    // hit predicted from earlier in the batch is gone by its turn: B
-    // evicts A's goal entry, and B's scan evicts A's survivor memo
+    // hit filled earlier in the batch is gone by its turn: B evicts
+    // A's goal entry, and B's scan evicts A's survivor memo
     // before A is served again in another FS1 mode.  The overflowing
     // goal is never admitted to L3, so its repeat recomputes.
     term::ParsedTerm overflow = reader->parseTerm("p0(X, Y)");
@@ -704,37 +696,32 @@ TEST_F(ServerCacheTest, BatchAtCapacityOneMatchesServeLoop)
         << "an overflowed response must not be replayed from L3";
 
     for (std::uint32_t workers : {1u, 4u}) {
-        for (std::uint32_t width : {1u, 4u}) {
-            SCOPED_TRACE("workers " + std::to_string(workers) +
-                         " batchWidth " + std::to_string(width));
-            crs::CrsConfig config = base;
-            config.workers = workers;
-            config.batchWidth = width;
-            auto server = makeServer(config);
-            std::vector<crs::RetrievalResponse> got =
-                server->serveBatch(batch);
-            ASSERT_EQ(got.size(), expected.size());
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                SCOPED_TRACE("item " + std::to_string(i));
-                expectSamePayload(expected[i], got[i]);
-                EXPECT_EQ(expected[i].breakdown.serviceTime(),
-                          got[i].breakdown.serviceTime());
-                EXPECT_EQ(expected[i].elapsed, got[i].elapsed);
-                if (workers == 1) {
-                    EXPECT_EQ(got[i].breakdown.queueWait, 0u);
-                }
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        crs::CrsConfig config = base;
+        config.workers = workers;
+        auto server = makeServer(config);
+        std::vector<crs::RetrievalResponse> got = server->serveBatch(batch);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE("item " + std::to_string(i));
+            expectSamePayload(expected[i], got[i]);
+            EXPECT_EQ(expected[i].breakdown.serviceTime(),
+                      got[i].breakdown.serviceTime());
+            EXPECT_EQ(expected[i].elapsed, got[i].elapsed);
+            if (workers == 1) {
+                EXPECT_EQ(got[i].breakdown.queueWait, 0u);
             }
-            EXPECT_EQ(counter(*server, "crs.cache.hits"),
-                      counter(*loop_server, "crs.cache.hits"));
-            EXPECT_EQ(counter(*server, "fs1.cache.survivor_hits"),
-                      counter(*loop_server, "fs1.cache.survivor_hits"));
         }
+        EXPECT_EQ(counter(*server, "crs.cache.hits"),
+                  counter(*loop_server, "crs.cache.hits"));
+        EXPECT_EQ(counter(*server, "fs1.cache.survivor_hits"),
+                  counter(*loop_server, "fs1.cache.survivor_hits"));
     }
 }
 
 TEST_F(ServerCacheTest, ConcurrentServesStayCorrectUnderSharedCaches)
 {
-    // The L3 cache (and both L2 memos) are shared mutable state under
+    // The L3 cache (and the L2 memo) are shared mutable state under
     // concurrent serve() callers; TSan runs this via ctest -L cache.
     auto plain = makeServer();
     std::vector<crs::RetrievalResponse> expected;

@@ -3,7 +3,8 @@
  * CRS tests: predicate store layout, the four retrieval modes (answer
  * equality, candidate-set quality ordering), mode selection, host
  * unification against decoded heads (parse-then-wouldUnify oracle,
- * decode-once accounting), and the lock manager / transactions.
+ * decode-once accounting), the SoftwareOnly scan's allocation bound,
+ * and the lock manager / transactions.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "crs/server.hh"
 #include "crs/store.hh"
 #include "crs/transaction.hh"
+#include "support/alloc_counter.hh"
 #include "support/logging.hh"
 #include "term/term_reader.hh"
 #include "unify/oracle.hh"
@@ -249,6 +251,44 @@ TEST_F(CrsTest, ServeDefaultsToSelectedMode)
     request.goal = t.root;
     RetrievalResponse r = server->serve(request);
     EXPECT_EQ(r.mode, server->selectMode(t.arena, t.root));
+}
+
+/**
+ * A SoftwareOnly serve() allocates the same whether its scan examines
+ * N clauses or 4N: the record walker and the stream matcher's binding
+ * cells are reused clause to clause.  Both heads and goal carry
+ * variables, so a matcher that built fresh cells per clause would
+ * allocate per clause; the goal accepts only clause 0 in either file,
+ * so the candidate and answer lists grow alike.
+ */
+TEST_F(CrsTest, SoftwareOnlyServeAllocationsDoNotGrowWithClauseCount)
+{
+    if (!support::allocCountingEnabled())
+        GTEST_SKIP() << "build with -DCLARE_COUNT_ALLOCS=ON";
+
+    auto serve_allocs = [&](int n) {
+        std::string text;
+        for (int k = 0; k < n; ++k)
+            text += "p(a" + std::to_string(k) + ", X, g(X, Y, Y)).\n";
+        buildStore(text);
+        term::ParsedTerm goal = reader.parseTerm("p(a0, B, g(C, D, E))");
+        RetrievalRequest request;
+        request.arena = &goal.arena;
+        request.goal = goal.root;
+        request.mode = SearchMode::SoftwareOnly;
+        // The first serve also decodes the candidate's head and
+        // resolves the server's instruments; keep it out of the count.
+        server->serve(request);
+        const std::uint64_t before = support::allocationCount();
+        RetrievalResponse r = server->serve(request);
+        const std::uint64_t allocs = support::allocationCount() - before;
+        EXPECT_EQ(r.clausesExamined, static_cast<std::uint64_t>(n));
+        EXPECT_EQ(r.answers, std::vector<std::uint32_t>{0});
+        return allocs;
+    };
+    const std::uint64_t n_allocs = serve_allocs(100);
+    const std::uint64_t four_n_allocs = serve_allocs(400);
+    EXPECT_EQ(n_allocs, four_n_allocs);
 }
 
 // ---------------------------------------------------------------------

@@ -6,8 +6,8 @@
  * is the FS1 engine's only path, and every observable — survivor sets
  * (order included), entriesScanned, bytesScanned, busyTime, the full
  * server response — must be bit-identical to the row-major reference
- * scan (clare_oracle) at any shard count, across a live base + delta
- * split, and at any batch width.  The suite property-tests the
+ * scan (clare_oracle) at any shard count and across a live base +
+ * delta split.  The suite property-tests the
  * SlicedMatcher on every supported kernel against the structural
  * PlaMatcher across generator configurations, mask densities, and
  * entry counts straddling 64-entry word boundaries; checks that every
@@ -202,33 +202,8 @@ TEST(SlicedMatcherTest, PartialRangesAreEdgeMaskedExactly)
     }
 }
 
-TEST(SlicedMatcherTest, ScanBatchMatchesPerQueryScans)
-{
-    term::SymbolTable sym;
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 127;
-    spec.varProb = 0.2;
-    spec.seed = 33;
-    BuiltIndex built = buildIndex(sym, {}, spec, 9, 0.8);
-
-    fs1::SlicedMatcher matcher;
-    std::vector<fs1::SlicedMatcher::Hits> batch =
-        matcher.scanBatch(built.plane, built.queries);
-    ASSERT_EQ(batch.size(), built.queries.size());
-    scw::EntryRange all{0, built.index.entryCount()};
-    for (std::size_t q = 0; q < built.queries.size(); ++q) {
-        fs1::SlicedMatcher single;
-        fs1::SlicedMatcher::Hits expected =
-            single.scanRange(built.plane, built.queries[q], all);
-        EXPECT_EQ(batch[q].clauseOffsets, expected.clauseOffsets)
-            << "query " << q;
-        EXPECT_EQ(batch[q].ordinals, expected.ordinals) << "query " << q;
-    }
-}
-
 // ---------------------------------------------------------------------
-// Fs1Engine vs the row-major reference scan: shards, split, batches.
+// Fs1Engine vs the row-major reference scan: shards and split.
 // ---------------------------------------------------------------------
 
 void
@@ -315,28 +290,6 @@ TEST(Fs1EngineOracleTest, BaseDeltaSplitMatchesRowMajor)
                 "base " + std::to_string(base) + " query " +
                     std::to_string(q));
         }
-    }
-}
-
-TEST(Fs1EngineOracleTest, SearchBatchMatchesRowMajor)
-{
-    term::SymbolTable sym;
-    workload::KbSpec spec;
-    spec.predicates = 1;
-    spec.clausesPerPredicate = 256;
-    spec.varProb = 0.2;
-    spec.seed = 55;
-    BuiltIndex built = buildIndex(sym, {}, spec, 8, 0.8);
-
-    fs1::Fs1Engine engine(built.generator);
-    std::vector<obs::Observer> no_obs(built.queries.size());
-    std::vector<fs1::Fs1Result> batch = engine.searchBatch(
-        built.index, &built.plane, built.queries, no_obs);
-    ASSERT_EQ(batch.size(), built.queries.size());
-    for (std::size_t q = 0; q < built.queries.size(); ++q) {
-        expectSameResult(fs1::rowMajorScan(built.generator, built.index,
-                                           built.queries[q]),
-                         batch[q], "query " + std::to_string(q));
     }
 }
 
@@ -621,7 +574,7 @@ TEST_F(SlicedStoreTest, TrailingBytesAfterPlaneSectionRejected)
 }
 
 // ---------------------------------------------------------------------
-// Server: batchWidth > 1 is bit-identical to per-query scanning.
+// Server: serveBatch() is bit-identical to serve() in a loop.
 // ---------------------------------------------------------------------
 
 class SlicedServerTest : public ::testing::Test
@@ -705,7 +658,6 @@ class SlicedServerTest : public ::testing::Test
         EXPECT_EQ(a.fs1Hits, b.fs1Hits) << label;
         EXPECT_EQ(a.clausesExamined, b.clausesExamined) << label;
         EXPECT_EQ(a.filterOps, b.filterOps) << label;
-        EXPECT_EQ(a.breakdown.queueWait, b.breakdown.queueWait) << label;
         EXPECT_EQ(a.breakdown.indexTime, b.breakdown.indexTime) << label;
         EXPECT_EQ(a.breakdown.filterTime, b.breakdown.filterTime)
             << label;
@@ -716,43 +668,34 @@ class SlicedServerTest : public ::testing::Test
     }
 };
 
-TEST_F(SlicedServerTest, ServeBatchIdenticalAcrossWidthsAndWorkers)
+TEST_F(SlicedServerTest, ServeBatchIdenticalToServeLoopAcrossWorkers)
 {
     std::vector<crs::RetrievalRequest> batch = mixedBatch();
     for (std::uint32_t workers : {1u, 2u, 4u}) {
-        crs::CrsConfig plain_config;
-        plain_config.workers = workers;
-        auto plain = makeServer(plain_config);
-        std::vector<crs::RetrievalResponse> expected =
-            plain->serveBatch(batch);
+        crs::CrsConfig config;
+        config.workers = workers;
+        auto loop_server = makeServer(config);
+        std::vector<crs::RetrievalResponse> expected;
+        for (const crs::RetrievalRequest &r : batch)
+            expected.push_back(loop_server->serve(r));
 
-        for (std::uint32_t width : {2u, 4u, 8u}) {
-            crs::CrsConfig config;
-            config.workers = workers;
-            config.batchWidth = width;
-            auto server = makeServer(config);
-            std::vector<crs::RetrievalResponse> got =
-                server->serveBatch(batch);
-            ASSERT_EQ(got.size(), expected.size());
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                expectIdentical(expected[i], got[i],
-                                "workers " + std::to_string(workers) +
-                                    " width " + std::to_string(width) +
-                                    " request " + std::to_string(i));
+        auto server = makeServer(config);
+        std::vector<crs::RetrievalResponse> got =
+            server->serveBatch(batch);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            const std::string label = "workers " +
+                std::to_string(workers) + " request " +
+                std::to_string(i);
+            expectIdentical(expected[i], got[i], label);
+            // Only a batch queues, and only behind a worker pool (the
+            // modeled queue itself is pinned in test_cache).
+            EXPECT_EQ(expected[i].breakdown.queueWait, 0u) << label;
+            if (workers == 1) {
+                EXPECT_EQ(got[i].breakdown.queueWait, 0u) << label;
             }
         }
     }
-}
-
-TEST_F(SlicedServerTest, BatchWidthConfigValidation)
-{
-    crs::CrsConfig config;
-    config.batchWidth = 4;
-    EXPECT_NO_THROW(makeServer(config));
-    config.batchWidth = 0;
-    EXPECT_THROW(makeServer(config), crs::ConfigError);
-    config.batchWidth = 257;
-    EXPECT_THROW(makeServer(config), crs::ConfigError);
 }
 
 // ---------------------------------------------------------------------
